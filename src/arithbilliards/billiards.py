@@ -24,8 +24,10 @@ from arithbilliards.core import (
     Point,
     decode_state,
     lift,
+    phase_columns,
     project,
     step_back,
+    tent_columns,
     validate_mask,
     validate_point,
     validate_state,
@@ -82,26 +84,29 @@ def geometric_length(grid: GridSpec) -> float:
 
 def simulate(grid: GridSpec, start: Point, mask: DirectionMask, n_steps: int,
              max_steps: int = DEFAULT_STATE_BUDGET) -> Trajectory:
-    """Walk ``n_steps`` unit diagonals from ``start``, initially along ``mask``."""
+    """Walk ``n_steps`` unit diagonals from ``start``, initially along ``mask``.
+
+    The trajectory repeats every ``2*lcm(dims)`` steps, so only the first
+    period (or less) of :class:`Point`/:class:`PhaseState` objects is built,
+    from :func:`core.tent_columns` and :func:`core.phase_columns`; longer
+    trajectories repeat references to those immutable objects.
+    """
     validate_point(grid, start)
     validate_mask(grid, mask)
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if n_steps > max_steps:
         raise BudgetExceededError(f"{n_steps} steps exceeds budget {max_steps}")
-    two_m = grid.two_m
-    dims = grid.dims
-    state = lift(grid, start, mask)
-    states = [state]
-    points = [start]
-    residues = list(state.residues)
-    for _ in range(n_steps):
-        for i, tm in enumerate(two_m):
-            residues[i] = (residues[i] + 1) % tm
-        state = PhaseState(tuple(residues))
-        states.append(state)
-        points.append(Point(tuple(m - abs(m - u) for m, u in zip(dims, residues))))
-    return Trajectory(tuple(points), tuple(states))
+    period = step_length(grid)
+    count = min(n_steps + 1, period)
+    residues = lift(grid, start, mask).residues
+    points = tuple(map(Point, zip(*tent_columns(grid, residues, count))))
+    states = tuple(map(PhaseState, zip(*phase_columns(grid, residues, count))))
+    if count < n_steps + 1:
+        reps, rest = divmod(n_steps + 1, period)
+        points = points * reps + points[:rest]
+        states = states * reps + states[:rest]
+    return Trajectory(points, states)
 
 
 def first_closure(grid: GridSpec, state: PhaseState, limit: int) -> int | None:
@@ -172,13 +177,63 @@ def classify_path(grid: GridSpec, state: PhaseState) -> PathKind:
     return PathKind.CLOSED
 
 
+def _path(representative: PhaseState, is_open: bool, k: int) -> Path:
+    kind = PathKind.OPEN if is_open else PathKind.CLOSED
+    return Path(representative, kind, k, k // 2 if is_open else k)
+
+
 def enumerate_paths(grid: GridSpec, max_states: int = DEFAULT_STATE_BUDGET) -> list[Path]:
+    """All geometric paths of the grid, from the canonical states of the step orbits.
+
+    The step orbits are the cosets of the diagonal ``(1, ..., 1)`` in
+    ``prod Z_{2*m_i}``.  The least state of an orbit is ``(0, r_2, ..., r_p)``
+    with ``0 <= r_i < g_i = gcd(lcm(2*m_1, ..., 2*m_{i-1}), 2*m_i)``, and every
+    such tuple is the least state of exactly one orbit.  A path is an orbit
+    ``c`` together with the orbit of ``-c``; it is reported once, from the
+    smaller of the two least states, and is open when they coincide.
+
+    Returns one :class:`Path` per geometric path in ascending order of
+    representative, exactly as :func:`enumerate_paths_exhaustive` does.
+    ``max_states`` bounds the number of orbits,
+    ``prod(2*m_i) / (2*lcm(dims))``.
+    """
+    k = step_length(grid)
+    n_orbits = grid.n_states // k
+    if n_orbits > max_states:
+        raise BudgetExceededError(f"grid has {n_orbits} step orbits, budget is {max_states}")
+    # per coordinate after the first: its modulus, the lcm of the moduli
+    # before it, their gcd g, and the inverse of lcm/g modulo 2*m_i/g
+    moduli = []
+    lcm = grid.two_m[0]
+    for tm in grid.two_m[1:]:
+        g = math.gcd(lcm, tm)
+        moduli.append((tm, lcm, g, tm // g, pow(lcm // g, -1, tm // g)))
+        lcm = lcm // g * tm
+    paths = []
+    for tail in itertools.product(*[range(g) for _, _, g, _, _ in moduli]):
+        # least state on the orbit of -c, whose first coordinate is already 0:
+        # shifting by a multiple of the lcm of the earlier moduli keeps the
+        # earlier coordinates and brings coordinate i down to its value mod g
+        shift = 0
+        least = []
+        for c, (tm, before, g, tg, inv) in zip(tail, moduli):
+            v = (shift - c) % tm
+            shift += before * (-(v // g) * inv % tg)
+            least.append(v % g)
+        reverse_tail = tuple(least)
+        if tail <= reverse_tail:
+            paths.append(_path(PhaseState((0,) + tail), tail == reverse_tail, k))
+    return paths
+
+
+def enumerate_paths_exhaustive(grid: GridSpec,
+                               max_states: int = DEFAULT_STATE_BUDGET) -> list[Path]:
     """All geometric paths of the grid, by exhaustive orbit tracing.
 
     Partitions every phase state into step orbits, pairs each orbit with its
     reversal, and reports one :class:`Path` per geometric path in ascending
-    order of representative.  Independent of the counting formulas, which it
-    is used to cross-check.
+    order of representative.  Independent of the counting formulas and of
+    :func:`enumerate_paths`, which it is used to cross-check.
     """
     n_states = grid.n_states
     if n_states > max_states:
@@ -186,18 +241,10 @@ def enumerate_paths(grid: GridSpec, max_states: int = DEFAULT_STATE_BUDGET) -> l
             f"grid has {n_states} phase states, budget is {max_states}"
         )
     k = step_length(grid)
-    paths = []
-    for rep_idx, is_open in kernels.trace_paths(list(grid.two_m)):
-        kind = PathKind.OPEN if is_open else PathKind.CLOSED
-        paths.append(
-            Path(
-                representative=decode_state(grid, rep_idx),
-                kind=kind,
-                step_length=k,
-                distinct_segments=k // 2 if is_open else k,
-            )
-        )
-    return paths
+    return [
+        _path(decode_state(grid, rep_idx), bool(is_open), k)
+        for rep_idx, is_open in kernels.trace_paths(list(grid.two_m))
+    ]
 
 
 def count_closed(grid: GridSpec) -> int:
@@ -220,17 +267,19 @@ def boundary_hits(grid: GridSpec, path: Path) -> int:
     A state is on the boundary when some coordinate sits at a wall
     (``u_i`` equal to 0 or ``m_i``).  For closed paths of a 2-D grid this
     equals ``2*(m_1 + m_2) / gcd(m_1, m_2)``.
+
+    Coordinate ``i`` is at a wall at step ``k`` exactly when
+    ``k = -u_i (mod m_i)``, so those steps are marked in one sieve over the
+    period.  The period is bounded by ``DEFAULT_STATE_BUDGET``.
     """
-    dims = grid.dims
-    two_m = grid.two_m
-    cur = list(path.representative.residues)
-    hits = 0
-    for _ in range(path.step_length):
-        if any(u == 0 or u == m for u, m in zip(cur, dims)):
-            hits += 1
-        for i, tm in enumerate(two_m):
-            cur[i] = (cur[i] + 1) % tm
-    return hits
+    period = path.step_length
+    if period > DEFAULT_STATE_BUDGET:
+        raise BudgetExceededError(f"period {period} exceeds budget {DEFAULT_STATE_BUDGET}")
+    hits = bytearray(period)
+    for u, m in zip(path.representative.residues, grid.dims):
+        first = (-u) % m
+        hits[first::m] = b"\x01" * len(range(first, period, m))
+    return hits.count(1)
 
 
 def coordinate_sums(grid: GridSpec, start: PhaseState,

@@ -75,7 +75,7 @@ def cmd_count(args) -> tuple[dict, int]:
         "consistent": None,
     }
     try:
-        paths = billiards.enumerate_paths(grid)
+        paths = billiards.enumerate_paths_exhaustive(grid)
     except BudgetExceededError:
         return payload, EXIT_BUDGET
     enum_closed = sum(1 for p in paths if p.kind is billiards.PathKind.CLOSED)
@@ -203,6 +203,17 @@ def cmd_render(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
+class _MaskAction(argparse.Action):
+    """Store a ``--mask`` value as given.
+
+    argparse before Python 3.12 strips a ``--`` argument, so ``--mask=--``
+    (the all-backward 2-D mask) arrives here as an empty list.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arithbilliards",
@@ -218,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="walk a trajectory and report visited points")
     p.add_argument("--dims", required=True)
     p.add_argument("--start", required=True, help="start point, e.g. 2,2")
-    p.add_argument("--mask", help="initial directions as +/- per coordinate (default all +)")
+    p.add_argument("--mask", action=_MaskAction,
+                   help="initial directions as +/- per coordinate (default all +)")
     p.add_argument("--steps", type=int, required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -226,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument("--mask", help="source directions as +/- (default all +)")
+    p.add_argument("--mask", action=_MaskAction, help="source directions as +/- (default all +)")
     p.add_argument("--any-direction", action="store_true",
                    help="try every initial direction mask")
     p.add_argument("--verify", action="store_true",

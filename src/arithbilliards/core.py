@@ -227,6 +227,45 @@ def step_directed(grid: GridSpec, state: PhaseState, mask: DirectionMask) -> Pha
     )
 
 
+def _cycle(u: int, tm: int, n: int) -> list[int]:
+    """The first ``min(n, tm)`` residues ``u, u+1, ... (mod tm)``."""
+    u %= tm
+    end = u + min(n, tm)
+    if end <= tm:
+        return list(range(u, end))
+    return list(range(u, tm)) + list(range(end - tm))
+
+
+def _repeat(cycle: list[int], n: int) -> list[int]:
+    """``cycle`` repeated out to length ``n`` (it already has ``min(n, period)``)."""
+    if len(cycle) >= n:
+        return cycle
+    return (cycle * -(-n // len(cycle)))[:n]
+
+
+def phase_columns(grid: GridSpec, residues, n: int) -> list[list[int]]:
+    """Residue columns of the states ``u + k`` for ``k = 0 .. n-1``.
+
+    ``columns[i][k] = (u_i + k) mod 2*m_i``.  Each column repeats one cycle of
+    at most ``min(n, 2*m_i)`` entries instead of stepping.  ``residues`` may be
+    unreduced.
+    """
+    return [_repeat(_cycle(u, tm, n), n) for u, tm in zip(residues, grid.two_m)]
+
+
+def tent_columns(grid: GridSpec, residues, n: int) -> list[list[int]]:
+    """Position columns of the states ``u + k`` for ``k = 0 .. n-1``.
+
+    ``columns[i][k]`` is the tent map ``m_i - |m_i - (u_i + k) mod 2*m_i|``,
+    built like :func:`phase_columns` from one cycle of at most
+    ``min(n, 2*m_i)`` entries.
+    """
+    return [
+        _repeat([m - abs(m - r) for r in _cycle(u, 2 * m, n)], n)
+        for u, m in zip(residues, grid.dims)
+    ]
+
+
 def reverse(grid: GridSpec, state: PhaseState) -> PhaseState:
     """Time-reverse a state: ``u_i -> -u_i``.  Keeps the position, flips travel.
 

@@ -10,8 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from arithbilliards.billiards import Path, PathKind, Trajectory, step_length
-from arithbilliards.core import GridSpec, PhaseState, Point
+from arithbilliards.billiards import (
+    Path,
+    PathKind,
+    Trajectory,
+    solve_congruences,
+    step_length,
+)
+from arithbilliards.core import (
+    DEFAULT_STATE_BUDGET,
+    BudgetExceededError,
+    GridSpec,
+    tent_columns,
+    validate_state,
+)
 
 
 @dataclass(frozen=True)
@@ -30,46 +42,47 @@ class RenderOptions:
             raise ValueError(f"margin must be >= 0, got {self.margin}")
 
 
-def _orbit_points(grid: GridSpec, start: PhaseState, n_steps: int) -> list[Point]:
-    two_m = grid.two_m
-    dims = grid.dims
-    cur = list(start.residues)
-    pts = [Point(tuple(m - abs(m - u) for m, u in zip(dims, cur)))]
-    for _ in range(n_steps):
-        for i, tm in enumerate(two_m):
-            cur[i] = (cur[i] + 1) % tm
-        pts.append(Point(tuple(m - abs(m - u) for m, u in zip(dims, cur))))
-    return pts
-
-
-def _path_points(grid: GridSpec, path: Path) -> list[Point]:
-    """Vertex list for drawing a Path.
-
-    Closed paths draw one full period (a loop).  Open paths start from a
-    vertex state on the orbit and draw half a period, giving the
-    vertex-to-vertex beam without retracing.
-    """
+def _path_steps(grid: GridSpec, path: Path) -> int:
+    """Steps drawn for ``path``: a full period if closed, half if open."""
     k = step_length(grid)
-    if path.kind is PathKind.CLOSED:
-        return _orbit_points(grid, path.representative, k)
-    cur = list(path.representative.residues)
-    for _ in range(k):
-        if all(u == 0 or u == m for u, m in zip(cur, grid.dims)):
-            break
-        for i, tm in enumerate(grid.two_m):
-            cur[i] = (cur[i] + 1) % tm
-    else:
-        raise AssertionError("open path orbit never reached a grid vertex")
-    return _orbit_points(grid, PhaseState(tuple(cur)), k // 2)
+    return k if path.kind is PathKind.CLOSED else k // 2
+
+
+def _path_columns(grid: GridSpec, path: Path) -> list[list[int]]:
+    """Vertex columns (one per coordinate) for drawing a Path.
+
+    Closed paths draw one full period (a loop) from the representative.  Open
+    paths start from the first grid vertex on the orbit, the least ``k`` with
+    ``u_i + k = 0 (mod m_i)`` for every ``i``, and draw half a period, giving
+    the vertex-to-vertex beam without retracing.
+    """
+    validate_state(grid, path.representative)
+    residues = path.representative.residues
+    if path.kind is PathKind.OPEN:
+        to_vertex = solve_congruences([(-u) % m for u, m in zip(residues, grid.dims)],
+                                      grid.dims)
+        if to_vertex is None:
+            raise ArithmeticError("open path orbit never reaches a grid vertex")
+        residues = [u + to_vertex for u in residues]
+    return tent_columns(grid, residues, _path_steps(grid, path) + 1)
 
 
 def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str:
-    """Render a 2-D grid with the given Trajectory/Path items as an SVG document."""
+    """Render a 2-D grid with the given Trajectory/Path items as an SVG document.
+
+    The vertices drawn for Path items are bounded by ``DEFAULT_STATE_BUDGET``.
+    """
     if grid.p != 2:
         raise ValueError(f"rendering requires a 2-D grid, got {grid.p} dimensions")
     opts = opts or RenderOptions()
     if not opts.palette:
         raise ValueError("palette must not be empty")
+    items = list(paths)
+    vertices = sum(_path_steps(grid, item) + 1 for item in items if isinstance(item, Path))
+    if vertices > DEFAULT_STATE_BUDGET:
+        raise BudgetExceededError(
+            f"drawing {vertices} path vertices exceeds budget {DEFAULT_STATE_BUDGET}"
+        )
     m1, m2 = grid.dims
     cell = opts.cell_size
     margin = opts.margin
@@ -99,18 +112,18 @@ def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str
             f'<line x1="{sx(0)}" y1="{sy(y)}" x2="{sx(m1)}" y2="{sy(y)}" '
             f'stroke="gray" stroke-width="{opts.grid_stroke_width}"/>'
         )
-    for i, item in enumerate(paths):
+    for i, item in enumerate(items):
         if isinstance(item, Trajectory):
-            pts = list(item.points)
+            pairs = [pt.coords for pt in item.points]
+            if any(len(pair) != 2 for pair in pairs):
+                raise ValueError("trajectory arity does not match the 2-D grid")
+            coords = " ".join(f"{sx(x)},{sy(y)}" for x, y in pairs)
         elif isinstance(item, Path):
-            pts = _path_points(grid, item)
+            xs, ys = _path_columns(grid, item)
+            coords = " ".join(f"{sx(x)},{sy(y)}" for x, y in zip(xs, ys))
         else:
             raise TypeError(f"cannot render {type(item).__name__}")
-        for pt in pts:
-            if len(pt.coords) != 2:
-                raise ValueError("trajectory arity does not match the 2-D grid")
         color = opts.palette[i % len(opts.palette)]
-        coords = " ".join(f"{sx(x)},{sy(y)}" for x, y in (pt.coords for pt in pts))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{opts.path_stroke_width}"/>'

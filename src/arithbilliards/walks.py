@@ -4,7 +4,8 @@ A walk moves a point by one unit-cell diagonal per step (every coordinate
 changes by +-1, staying inside the grid).  Connectivity is governed by the
 parity index of :func:`core.index_of`: points are mutually reachable exactly
 when their indexes agree, giving ``2**(p-1)`` orbits with sizes in closed
-form.  The BFS here does not assume that; the test suite verifies it.
+form.  :func:`find_walk` builds its walk from that law; the BFS oracle
+:func:`find_walk_bfs` does not assume it, and the test suite compares them.
 """
 
 from __future__ import annotations
@@ -104,11 +105,45 @@ def bfs_component_ids(grid: GridSpec,
 
 def find_walk(grid: GridSpec, start: Point, goal: Point,
               max_points: int = DEFAULT_STATE_BUDGET) -> list[DirectionMask] | None:
-    """Shortest diagonal walk from ``start`` to ``goal``, or None.
+    """Lexicographically least shortest diagonal walk from ``start`` to ``goal``.
+
+    Returns None when the parity indexes differ.  Otherwise the walk has
+    ``k = max_i |x_i - y_i|`` steps.  At each step every coordinate moves +1
+    when that stays inside the grid and leaves the goal coordinate within
+    reach of the remaining steps, else -1; preferring +1 coordinate by
+    coordinate gives the walk :func:`find_walk_bfs` returns.  ``max_points``
+    bounds the walk length ``k``.  The walk is replayed through
+    :func:`core.step_directed` before returning.
+    """
+    validate_point(grid, start)
+    validate_point(grid, goal)
+    if index_of(start) != index_of(goal):
+        return None
+    k = max(abs(x - y) for x, y in zip(start.coords, goal.coords))
+    if k > max_points:
+        raise BudgetExceededError(f"walk has {k} steps, budget is {max_points}")
+    at = start.coords
+    walk: list[DirectionMask] = []
+    for left in range(k - 1, -1, -1):
+        signs = tuple(
+            0 if x < m and abs(x + 1 - y) <= left else 1
+            for x, y, m in zip(at, goal.coords, grid.dims)
+        )
+        at = tuple(x + (1 if s == 0 else -1) for x, s in zip(at, signs))
+        walk.append(DirectionMask(signs))
+    _replay(grid, start, goal, walk)
+    return walk
+
+
+def find_walk_bfs(grid: GridSpec, start: Point, goal: Point,
+                  max_points: int = DEFAULT_STATE_BUDGET) -> list[DirectionMask] | None:
+    """Shortest diagonal walk from ``start`` to ``goal``, or None, by BFS.
 
     Breadth-first search over lattice points, exploring the ``2**p`` move
     directions in lexicographic order, so the returned walk is deterministic.
-    The walk is replayed through :func:`core.step_directed` before returning.
+    Kept as the oracle for :func:`find_walk`; ``max_points`` bounds the
+    grid's point count.  The walk is replayed through
+    :func:`core.step_directed` before returning.
     """
     validate_point(grid, start)
     validate_point(grid, goal)
@@ -145,16 +180,23 @@ def find_walk(grid: GridSpec, start: Point, goal: Point,
         coords, mask = seen[coords]  # type: ignore[misc]
         walk.append(mask)
     walk.reverse()
-    # replay through the phase dynamics to guarantee the walk is valid
-    state = lift(grid, start, DirectionMask.ascending(p))
-    at = start
+    _replay(grid, start, goal, walk)
+    return walk
+
+
+def _replay(grid: GridSpec, start: Point, goal: Point, walk: list[DirectionMask]) -> None:
+    """Check ``walk`` against the phase dynamics; raise ArithmeticError if it
+    leaves the grid or misses ``goal``."""
+    state = lift(grid, start, DirectionMask.ascending(grid.p))
+    at = start.coords
     for mask in walk:
         state = step_directed(grid, state, mask)
-        nxt = project(grid, state)
-        expected = tuple(
-            c + (1 if s == 0 else -1) for c, s in zip(at.coords, mask.signs)
-        )
-        assert nxt.coords == expected, "BFS emitted a move the dynamics rejects"
+        nxt = project(grid, state).coords
+        expected = tuple(c + (1 if s == 0 else -1) for c, s in zip(at, mask.signs))
+        if nxt != expected:
+            raise ArithmeticError(
+                f"walk move {mask.to_string()} from {at} is rejected by the phase dynamics"
+            )
         at = nxt
-    assert at == goal
-    return walk
+    if at != goal.coords:
+        raise ArithmeticError(f"walk ends at {at}, not at the goal {goal.coords}")

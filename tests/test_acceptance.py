@@ -18,6 +18,7 @@ from arithbilliards.billiards import (
     count_closed,
     count_open,
     enumerate_paths,
+    enumerate_paths_exhaustive,
     light_reachable,
     light_reachable_oracle,
     step_length,
@@ -62,7 +63,7 @@ def test_criterion_01_closed_path_counts_up_to_30():
     failures = 0
     for m, n in grids(2, 30):
         g = GridSpec((m, n))
-        paths = enumerate_paths(g)
+        paths = enumerate_paths_exhaustive(g)
         closed = sum(1 for p in paths if p.kind is PathKind.CLOSED)
         opened = sum(1 for p in paths if p.kind is PathKind.OPEN)
         if closed != math.gcd(m, n) - 1 or opened != 2 or closed != count_closed(g):
@@ -77,7 +78,7 @@ def test_criterion_01_closed_path_counts_up_to_30():
 
 def test_criterion_02_6x4_grid():
     g = GridSpec((6, 4))
-    paths = enumerate_paths(g)
+    paths = enumerate_paths_exhaustive(g)
     closed = sum(1 for p in paths if p.kind is PathKind.CLOSED)
     opened = sum(1 for p in paths if p.kind is PathKind.OPEN)
     segments = sum(p.distinct_segments for p in paths)
@@ -90,7 +91,7 @@ def test_criterion_02_6x4_grid():
 
 def test_criterion_03_4x3x2_grid():
     g = GridSpec((4, 3, 2))
-    paths = enumerate_paths(g)
+    paths = enumerate_paths_exhaustive(g)
     closed = sum(1 for p in paths if p.kind is PathKind.CLOSED)
     opened = sum(1 for p in paths if p.kind is PathKind.OPEN)
     report(
@@ -158,13 +159,13 @@ def test_criterion_06_count_recurrences():
 
 def test_criterion_07_boundary_counts():
     g = GridSpec((6, 4))
-    closed = [p for p in enumerate_paths(g) if p.kind is PathKind.CLOSED]
+    closed = [p for p in enumerate_paths_exhaustive(g) if p.kind is PathKind.CLOSED]
     ok = len(closed) == 1 and boundary_hits(g, closed[0]) == 10
     checked = 0
     for m, n in grids(2, 12):
         grid = GridSpec((m, n))
         expected = 2 * (m + n) // math.gcd(m, n)
-        closed_paths = [p for p in enumerate_paths(grid) if p.kind is PathKind.CLOSED]
+        closed_paths = [p for p in enumerate_paths_exhaustive(grid) if p.kind is PathKind.CLOSED]
         if len(closed_paths) != math.gcd(m, n) - 1:
             ok = False
         for path in closed_paths:

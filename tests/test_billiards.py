@@ -13,6 +13,7 @@ from arithbilliards.billiards import (
     count_closed,
     count_open,
     enumerate_paths,
+    enumerate_paths_exhaustive,
     first_closure,
     geometric_length,
     simulate,
@@ -192,8 +193,29 @@ class TestEnumerate:
                 assert classify_path(g, path.representative) is path.kind
 
     def test_budget(self):
+        # the exhaustive oracle is bounded by the phase-state count
         with pytest.raises(BudgetExceededError):
-            enumerate_paths(GridSpec((3200, 3200)))
+            enumerate_paths_exhaustive(GridSpec((3200, 3200)))
+
+    def test_budget_bounds_orbit_count(self):
+        g = GridSpec((6, 4))
+        assert g.n_states // step_length(g) == 4
+        assert len(enumerate_paths(g, max_states=4)) == 3
+        with pytest.raises(BudgetExceededError):
+            enumerate_paths(g, max_states=3)
+        # 2**24 orbits of two states each
+        with pytest.raises(BudgetExceededError):
+            enumerate_paths(GridSpec((1,) * 25))
+
+    def test_grid_beyond_the_tracer(self):
+        # about 4 * 10**12 phase states: the closed form lists the two open
+        # paths at once, and walking one period of either is refused
+        g = GridSpec((999983, 999979))
+        paths = enumerate_paths(g)
+        assert [p.representative.residues for p in paths] == [(0, 0), (0, 1)]
+        assert [p.kind for p in paths] == [PathKind.OPEN, PathKind.OPEN]
+        with pytest.raises(BudgetExceededError):
+            boundary_hits(g, paths[0])
 
     @pytest.mark.parametrize("dims", [(6, 4), (9, 6), (2, 2, 2), (4, 3, 2), (3, 3, 3)])
     def test_segment_conservation(self, dims):

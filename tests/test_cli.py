@@ -86,6 +86,22 @@ class TestSimulate:
         assert code == 0
         assert doc["payload"]["points"] == [[0, 3], [1, 2], [2, 1]]
 
+    def test_all_backward_mask(self, capsys):
+        code, doc = run(
+            capsys, "simulate", "--dims", "6,4", "--start", "2,2",
+            "--mask=--", "--steps", "3",
+        )
+        assert code == 0
+        assert doc["payload"]["points"] == [[2, 2], [1, 1], [0, 0], [1, 1]]
+
+    def test_short_ray_on_long_grid(self, capsys):
+        code, doc = run(
+            capsys, "simulate", "--dims", "1000000000,2", "--start", "0,0",
+            "--steps", "1",
+        )
+        assert code == 0
+        assert doc["payload"]["points"] == [[0, 0], [1, 1]]
+
     def test_invalid_start(self, capsys):
         assert run(capsys, "simulate", "--dims", "6,4", "--start", "9,9",
                    "--steps", "1")[0] == 2
@@ -124,6 +140,16 @@ class TestReach:
         assert code == 0
         assert doc["payload"]["oracle_checked"] is True
         assert doc["payload"]["oracle_agrees"] is True
+
+    def test_all_backward_mask(self, capsys):
+        code, doc = run(
+            capsys, "reach", "--dims", "6,4", "--from", "1,1", "--to", "2,2",
+            "--mask=--",
+        )
+        assert code == 0
+        assert doc["payload"]["mask"] == "--"
+        assert doc["payload"]["reachable"] is True
+        assert doc["payload"]["witness_steps"] == 3
 
     def test_bad_point(self, capsys):
         assert run(capsys, "reach", "--dims", "6,4", "--from", "0,9",

@@ -1,0 +1,128 @@
+"""Closed forms against the exhaustive oracles they replace, at fixed bounds.
+
+``enumerate_paths`` (canonical coset states), ``find_walk`` (greedy walk),
+``simulate`` and the renderer (tent-map columns) and ``boundary_hits``
+(wall-residue sieve) must return exactly what orbit tracing, BFS and
+``core.step`` iteration return.
+"""
+
+import itertools
+import xml.etree.ElementTree as ET
+
+import pytest
+
+from arithbilliards.billiards import (
+    PathKind,
+    boundary_hits,
+    enumerate_paths,
+    enumerate_paths_exhaustive,
+    simulate,
+    step_length,
+)
+from arithbilliards.core import (
+    DirectionMask,
+    GridSpec,
+    Point,
+    lift,
+    project,
+    step,
+)
+from arithbilliards.render import RenderOptions, render_grid
+from arithbilliards.walks import find_walk, find_walk_bfs
+
+
+def all_points(grid):
+    return [Point(c) for c in itertools.product(*[range(m + 1) for m in grid.dims])]
+
+
+def orbit(grid, state, n_steps):
+    """``n_steps + 1`` states from ``state`` by repeated :func:`core.step`."""
+    states = [state]
+    for _ in range(n_steps):
+        states.append(step(grid, states[-1]))
+    return states
+
+
+@pytest.mark.parametrize("p,max_m", [(2, 6), (3, 6), (4, 3)])
+def test_enumerate_paths_matches_orbit_tracing(p, max_m):
+    for dims in itertools.product(range(1, max_m + 1), repeat=p):
+        g = GridSpec(dims)
+        assert enumerate_paths(g) == enumerate_paths_exhaustive(g), dims
+
+
+@pytest.mark.parametrize(
+    "dims", [(3, 2), (4, 4), (5, 3), (2, 2, 2), (3, 2, 2), (1, 3, 2), (2, 2, 1, 2)]
+)
+def test_find_walk_matches_bfs_on_every_pair(dims):
+    g = GridSpec(dims)
+    points = all_points(g)
+    for start in points:
+        for goal in points:
+            assert find_walk(g, start, goal) == find_walk_bfs(g, start, goal), (start, goal)
+
+
+@pytest.mark.parametrize("dims", [(4, 3), (6, 4), (1, 1), (2, 3, 5), (3, 2, 2, 1)])
+def test_simulate_matches_step_replay(dims):
+    g = GridSpec(dims)
+    period = step_length(g)
+    points = all_points(g)
+    starts = points[:: max(1, len(points) // 5)]
+    masks = [DirectionMask(s) for s in itertools.product((0, 1), repeat=g.p)]
+    # below, at and several periods beyond one period of states
+    lengths = [0, period - 2, period - 1, period, 3 * period + 5]
+    for start in starts:
+        for mask in masks[:: max(1, len(masks) // 3)]:
+            states = orbit(g, lift(g, start, mask), max(lengths))
+            for n in lengths:
+                traj = simulate(g, start, mask, n)
+                expected = states[: n + 1]
+                assert list(traj.states) == expected
+                assert list(traj.points) == [project(g, s) for s in expected]
+
+
+@pytest.mark.parametrize("dims", [(10**9, 2), (2, 10**9), (10**7, 3, 5)])
+def test_simulate_short_trajectory_on_large_grid(dims):
+    # the work follows n_steps, not the 2*m_i cycle of a long side
+    g = GridSpec(dims)
+    start = Point((1,) * g.p)
+    for mask in [DirectionMask(s) for s in itertools.product((0, 1), repeat=g.p)]:
+        states = orbit(g, lift(g, start, mask), 4)
+        for n in range(5):
+            traj = simulate(g, start, mask, n)
+            assert list(traj.states) == states[: n + 1]
+            assert list(traj.points) == [project(g, s) for s in states[: n + 1]]
+
+
+@pytest.mark.parametrize("dims", [(6, 4), (9, 6), (2, 2, 2), (4, 3, 2), (3, 3, 3)])
+def test_boundary_hits_matches_stepping_count(dims):
+    g = GridSpec(dims)
+    for path in enumerate_paths(g):
+        states = orbit(g, path.representative, path.step_length - 1)
+        expected = sum(
+            1 for s in states if any(u in (0, m) for u, m in zip(s.residues, g.dims))
+        )
+        assert boundary_hits(g, path) == expected
+
+
+@pytest.mark.parametrize("dims", [(6, 4), (9, 6), (4, 3), (1, 1), (5, 5), (2, 7)])
+def test_render_polylines_match_step_replay(dims):
+    g = GridSpec(dims)
+    k = step_length(g)
+    opts = RenderOptions(cell_size=1, margin=0)
+    paths = enumerate_paths(g)
+    root = ET.fromstring(render_grid(g, paths, opts))
+    polys = root.findall(".//{http://www.w3.org/2000/svg}polyline")
+    assert len(polys) == len(paths)
+    for path, poly in zip(paths, polys):
+        state = path.representative
+        if path.kind is PathKind.OPEN:
+            # walk forward to the first grid vertex, then draw half a period
+            while not all(u in (0, m) for u, m in zip(state.residues, g.dims)):
+                state = step(g, state)
+            expected = orbit(g, state, k // 2)
+        else:
+            expected = orbit(g, state, k)
+        drawn = [tuple(int(v) for v in pair.split(","))
+                 for pair in poly.attrib["points"].split()]
+        assert drawn == [(x, g.dims[1] - y) for x, y in
+                         (project(g, s).coords for s in expected)]

@@ -4,8 +4,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from arithbilliards.billiards import PathKind, enumerate_paths, simulate
-from arithbilliards.core import DirectionMask, GridSpec, Point
+from arithbilliards.billiards import Path, PathKind, enumerate_paths, simulate
+from arithbilliards.core import BudgetExceededError, DirectionMask, GridSpec, Point
 from arithbilliards.render import RenderOptions, render_grid
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -107,3 +107,17 @@ class TestErrors:
     def test_rejects_unknown_items(self):
         with pytest.raises(TypeError):
             render_grid(GridSpec((2, 2)), ["not a path"])
+
+    def test_open_path_that_misses_every_vertex(self):
+        # a closed orbit labelled OPEN never reaches a vertex
+        g = GridSpec((6, 4))
+        (closed,) = [p for p in enumerate_paths(g) if p.kind is PathKind.CLOSED]
+        forged = Path(closed.representative, PathKind.OPEN, 24, 12)
+        with pytest.raises(ArithmeticError):
+            render_grid(g, [forged])
+
+    def test_vertex_budget(self):
+        # two open paths of about 10**12 vertices each, refused before drawing
+        g = GridSpec((999983, 999979))
+        with pytest.raises(BudgetExceededError):
+            render_grid(g, enumerate_paths(g))

@@ -1,9 +1,15 @@
 """Diagonal-walk orbits: index classification, sizes, and constructive walks."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import arithbilliards
 from arithbilliards.core import (
     BudgetExceededError,
     DirectionMask,
@@ -18,6 +24,7 @@ from arithbilliards.core import (
 from arithbilliards.walks import (
     bfs_component_ids,
     find_walk,
+    find_walk_bfs,
     orbit_partition,
     orbit_size,
     orbit_sizes_bruteforce,
@@ -165,8 +172,47 @@ class TestFindWalk:
                 assert (walk is not None) == same_orbit(src, dst)
 
     def test_budget(self):
+        # the BFS oracle is bounded by the grid's point count
         with pytest.raises(BudgetExceededError):
-            find_walk(GridSpec((4000, 4000)), Point((0, 0)), Point((1, 1)))
+            find_walk_bfs(GridSpec((4000, 4000)), Point((0, 0)), Point((1, 1)))
+
+    def test_budget_bounds_walk_length(self):
+        g = GridSpec((4000, 4000))
+        assert find_walk(g, Point((0, 0)), Point((1, 1))) == [DirectionMask((0, 0))]
+        assert len(find_walk(g, Point((0, 0)), Point((30, 2)), max_points=30)) == 30
+        with pytest.raises(BudgetExceededError):
+            find_walk(g, Point((0, 0)), Point((30, 2)), max_points=29)
+
+    def test_replay_check_survives_optimize_flag(self):
+        # the replay must reject a wrong move even under python -O, which
+        # strips assert statements
+        script = textwrap.dedent("""
+            import sys
+            from arithbilliards import core, walks
+            from arithbilliards.core import DirectionMask, GridSpec, Point
+
+            def wrong_move(grid, state, mask):
+                flipped = DirectionMask(tuple(1 - s for s in mask.signs))
+                return core.step_directed(grid, state, flipped)
+
+            walks.step_directed = wrong_move
+            print("optimize", sys.flags.optimize)
+            for find in (walks.find_walk, walks.find_walk_bfs):
+                try:
+                    find(GridSpec((6, 4)), Point((0, 2)), Point((4, 0)))
+                except ArithmeticError:
+                    print(find.__name__, "raised")
+                else:
+                    print(find.__name__, "accepted")
+        """)
+        src = str(Path(arithbilliards.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.split("\n")[:3] == [
+            "optimize 1", "find_walk raised", "find_walk_bfs raised",
+        ]
 
 
 class TestIndexPreservation:
