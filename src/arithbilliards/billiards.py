@@ -26,7 +26,7 @@ from arithbilliards.core import (
     lift,
     phase_columns,
     project,
-    step_back,
+    solve_congruences,
     tent_columns,
     validate_mask,
     validate_point,
@@ -115,52 +115,11 @@ def first_closure(grid: GridSpec, state: PhaseState, limit: int) -> int | None:
 
     This is the operational definition of one full loop; it always equals
     ``2*lcm(dims)`` (checked exhaustively by the acceptance suite), so this
-    function doubles as the iteration oracle for :func:`step_length`.
+    function doubles as the iteration oracle for :func:`step_length`.  The
+    loop is :func:`kernels.least_closure`, shared with that acceptance sweep.
     """
     validate_state(grid, state)
-    two_m = grid.two_m
-    base = state.residues
-    back = step_back(grid, state).residues
-    cur = list(base)
-    for k in range(1, limit + 1):
-        ok = True
-        for i, tm in enumerate(two_m):
-            prev = cur[i]
-            nxt = prev + 1
-            if nxt == tm:
-                nxt = 0
-            cur[i] = nxt
-            if ok:
-                if nxt != base[i] and (nxt + base[i]) % tm != 0:
-                    ok = False
-                elif prev != back[i] and (prev + back[i]) % tm != 0:
-                    ok = False
-        if ok:
-            return k
-    return None
-
-
-def _merge_congruence(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
-    """Merge ``k = r1 (mod m1)`` with ``k = r2 (mod m2)``; None if incompatible."""
-    g = math.gcd(m1, m2)
-    diff = r2 - r1
-    if diff % g:
-        return None
-    mg = m2 // g
-    t = (diff // g) * pow(m1 // g, -1, mg) % mg
-    m = m1 // g * m2
-    return (r1 + m1 * t) % m, m
-
-
-def solve_congruences(residues, moduli) -> int | None:
-    """Least ``k >= 0`` satisfying all ``k = residues[i] (mod moduli[i])``."""
-    r, m = 0, 1
-    for a, mod in zip(residues, moduli):
-        merged = _merge_congruence(r, m, a % mod, mod)
-        if merged is None:
-            return None
-        r, m = merged
-    return r
+    return kernels.least_closure(grid.two_m, state.residues, limit)
 
 
 def classify_path(grid: GridSpec, state: PhaseState) -> PathKind:
@@ -286,22 +245,15 @@ def coordinate_sums(grid: GridSpec, start: PhaseState,
                     max_steps: int = DEFAULT_STATE_BUDGET) -> tuple[int, ...]:
     """Per-coordinate position sums over one full period from ``start``.
 
-    Direct summation over ``k = 0 .. 2*lcm(dims)-1``; equals
-    ``m_i * lcm(dims)`` per coordinate regardless of the start state.
+    Direct summation over ``k = 0 .. 2*lcm(dims)-1`` by
+    :func:`kernels.period_sums`; equals ``m_i * lcm(dims)`` per coordinate
+    regardless of the start state.
     """
     validate_state(grid, start)
     period = step_length(grid)
     if period > max_steps:
         raise BudgetExceededError(f"period {period} exceeds budget {max_steps}")
-    dims = grid.dims
-    two_m = grid.two_m
-    cur = list(start.residues)
-    sums = [0] * grid.p
-    for _ in range(period):
-        for i, m in enumerate(dims):
-            sums[i] += m - abs(m - cur[i])
-            cur[i] = (cur[i] + 1) % two_m[i]
-    return tuple(sums)
+    return tuple(kernels.period_sums(grid.dims, start.residues))
 
 
 def _sign_tuples(p: int):

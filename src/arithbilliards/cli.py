@@ -2,7 +2,9 @@
 
 Every command writes exactly one JSON document to stdout (SVG bytes go only
 to ``--out`` files) and exits with: 0 ok, 1 consistency-check failure,
-2 bad input, 3 budget exceeded, 4 I/O error.
+2 bad input (argument errors included, as ``error.type`` "UsageError"),
+3 budget exceeded, 4 I/O error, 5 internal check failed.  Only ``-h``
+prints help text instead.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ EXIT_INCONSISTENT = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -214,8 +217,21 @@ class _MaskAction(argparse.Action):
         setattr(namespace, self.dest, "--" if values == [] else values)
 
 
+class UsageError(Exception):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raise :class:`UsageError` on bad arguments instead of exiting, so that
+    :func:`main` still writes its JSON document.  Subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arithbilliards",
         description="Arithmetic billiards on integer grids: counting, simulation, "
         "reachability, walk orbits, generating functions, SVG rendering.",
@@ -269,9 +285,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     started = time.perf_counter()
-    doc = {"schema_version": SCHEMA_VERSION, "command": args.command, "grid": None}
+    doc = {"schema_version": SCHEMA_VERSION, "command": None, "grid": None}
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        doc["error"] = {"type": "UsageError", "message": str(exc)}
+        return _emit(doc, started, EXIT_BAD_INPUT)
+    doc["command"] = args.command
     if getattr(args, "dims", None):
         try:
             doc["grid"] = {"dims": list(_parse_ints(args.dims, "--dims"))}
@@ -289,6 +310,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = EXIT_IO
+    except ArithmeticError as exc:
+        # a library self-check (walk replay, open-path vertex, polynomial
+        # division) found a wrong result
+        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        code = EXIT_INTERNAL
+    return _emit(doc, started, code)
+
+
+def _emit(doc: dict, started: float, code: int) -> int:
     doc["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     print(json.dumps(doc))
     return code

@@ -28,9 +28,10 @@ class BudgetExceededError(RuntimeError):
 class GridSpec:
     """Dimensions ``(m_1, ..., m_p)`` of an integer grid, ``p >= 2``.
 
-    Construction rejects grids whose full period ``2*lcm(dims)`` or total
-    directed-segment count would not fit in a signed 64-bit integer, so the
-    compiled kernels can always work in machine words.
+    Construction rejects grids whose full period ``2*lcm(dims)`` or
+    phase-state count would not fit in a signed 64-bit integer.  That bound
+    is the package's documented input limit; the arithmetic itself is exact
+    Python integers and would not wrap.
     """
 
     dims: tuple[int, ...]
@@ -274,6 +275,33 @@ def reverse(grid: GridSpec, state: PhaseState) -> PhaseState:
     """
     validate_state(grid, state)
     return PhaseState(tuple((tm - u) % tm for u, tm in zip(state.residues, grid.two_m)))
+
+
+def _merge_congruence(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
+    """Merge ``k = r1 (mod m1)`` with ``k = r2 (mod m2)``; None if incompatible."""
+    g = math.gcd(m1, m2)
+    diff = r2 - r1
+    if diff % g:
+        return None
+    mg = m2 // g
+    t = (diff // g) * pow(m1 // g, -1, mg) % mg
+    m = m1 // g * m2
+    return (r1 + m1 * t) % m, m
+
+
+def solve_congruences(residues, moduli) -> int | None:
+    """Least ``k >= 0`` satisfying all ``k = residues[i] (mod moduli[i])``.
+
+    Generalized CRT: the congruences are merged one at a time, the running
+    modulus being the lcm of the moduli merged so far.
+    """
+    r, m = 0, 1
+    for a, mod in zip(residues, moduli):
+        merged = _merge_congruence(r, m, a % mod, mod)
+        if merged is None:
+            return None
+        r, m = merged
+    return r
 
 
 def index_of(point: Point) -> OrbitIndex:

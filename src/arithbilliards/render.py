@@ -14,13 +14,13 @@ from arithbilliards.billiards import (
     Path,
     PathKind,
     Trajectory,
-    solve_congruences,
     step_length,
 )
 from arithbilliards.core import (
     DEFAULT_STATE_BUDGET,
     BudgetExceededError,
     GridSpec,
+    solve_congruences,
     tent_columns,
     validate_state,
 )

@@ -2,8 +2,8 @@
 
 One test per acceptance criterion, each verified exactly (integer equality,
 exhaustive sweeps at the stated bounds) and reporting a PASS/FAIL line.
-The heavy sweeps run through the active kernel lane; build the compiled
-extension first or expect multi-minute runtimes on the pure-Python fallback.
+The heavy sweeps (criteria 4, 5 and 8) run the oracle loops of
+:mod:`arithbilliards.kernels`; criterion 5 takes most of the suite's time.
 """
 
 import itertools

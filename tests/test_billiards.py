@@ -101,6 +101,13 @@ class TestStepLength:
         for state in all_states(g):
             assert first_closure(g, state, 2 * k) == k
 
+    @pytest.mark.parametrize("dims", [(4, 3), (3, 2, 2)])
+    def test_no_closure_before_one_period(self, dims):
+        g = GridSpec(dims)
+        k = step_length(g)
+        for state in all_states(g):
+            assert first_closure(g, state, k - 1) is None
+
     def test_minimum_two_iff_unit_cell(self):
         for dims in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (2, 1, 1)]:
             is_unit = all(m == 1 for m in dims)
@@ -285,3 +292,10 @@ class TestCoordinateSums:
         g = GridSpec((6, 4))
         sums = coordinate_sums(g, make_state(g, (5, 1)))
         assert sum(sums) == (6 + 4) * g.lcm
+
+    def test_budget(self):
+        g = GridSpec((6, 4))
+        state = make_state(g, (0, 0))
+        assert coordinate_sums(g, state, max_steps=24) == (72, 48)
+        with pytest.raises(BudgetExceededError):
+            coordinate_sums(g, state, max_steps=23)

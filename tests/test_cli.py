@@ -2,7 +2,9 @@
 
 import json
 
-from arithbilliards import cli
+import pytest
+
+from arithbilliards import circseq, cli, render
 
 
 def run(capsys, *argv):
@@ -255,3 +257,44 @@ class TestRoundTrip:
             )
             assert doc["payload"]["reachable"] is True
             assert doc["payload"]["witness_steps"] == k
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["count"],
+        ["bogus"],
+        ["simulate", "--dims", "6,4", "--start", "2,2", "--steps", "3", "--mask", "-+"],
+    ])
+    def test_one_document(self, capsys, argv):
+        code, doc = run(capsys, *argv)
+        assert code == cli.EXIT_BAD_INPUT == 2
+        assert doc["error"]["type"] == "UsageError"
+        assert doc["error"]["message"]
+        assert "payload" not in doc
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["-h"])
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+class TestInternalCheck:
+    def test_numerator_check(self, capsys, monkeypatch):
+        def fail(spec):
+            raise ArithmeticError("polynomial division left remainder")
+
+        monkeypatch.setattr(circseq, "numerator_poly", fail)
+        code, doc = run(capsys, "genfunc", "--sign", "+", "--t", "3", "--m", "6")
+        assert code == cli.EXIT_INTERNAL == 5
+        assert doc["error"] == {"type": "ArithmeticError",
+                                "message": "polynomial division left remainder"}
+        assert "payload" not in doc
+
+    def test_open_path_check(self, capsys, monkeypatch, tmp_path):
+        # an open path whose orbit misses every vertex trips the renderer's check
+        monkeypatch.setattr(render, "solve_congruences", lambda residues, moduli: None)
+        code, doc = run(capsys, "render", "--dims", "6,4", "--out", str(tmp_path / "g.svg"))
+        assert code == 5
+        assert doc["error"]["type"] == "ArithmeticError"
+        assert "vertex" in doc["error"]["message"]
