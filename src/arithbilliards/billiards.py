@@ -23,6 +23,7 @@ from arithbilliards.core import (
     PhaseState,
     Point,
     decode_state,
+    encode_point,
     lift,
     phase_columns,
     project,
@@ -296,21 +297,24 @@ def light_reachable_oracle(grid: GridSpec, source: Point, mask: DirectionMask,
                            target: Point,
                            max_steps: int = DEFAULT_STATE_BUDGET) -> ReachAnswer:
     """Same contract as :func:`light_reachable`, decided by walking the full
-    ``2*lcm(dims)`` period.  Kept independent as a cross-check."""
+    ``2*lcm(dims)`` period.  Kept independent as a cross-check.
+
+    The walk is :func:`kernels.first_visits`, the first-visit walk that
+    :func:`kernels.reach_scan` also runs, taken in blocks of
+    :data:`kernels.BLOCK` steps up to the first block that visits ``target``.
+    """
     validate_point(grid, source)
     validate_point(grid, target)
     validate_mask(grid, mask)
     period = step_length(grid)
     if period > max_steps:
         raise BudgetExceededError(f"period {period} exceeds budget {max_steps}")
-    dims = grid.dims
-    two_m = grid.two_m
-    cur = list(lift(grid, source, mask).residues)
-    tgt = target.coords
-    for k in range(period):
-        if all(m - abs(m - u) == t for m, u, t in zip(dims, cur, tgt)):
-            signs = tuple(0 if u == t else 1 for u, t in zip(cur, tgt))
-            return ReachAnswer(True, k, signs)
-        for i, tm in enumerate(two_m):
-            cur[i] = (cur[i] + 1) % tm
+    p = grid.p
+    u = lift(grid, source, mask).residues
+    tgt = encode_point(grid, target)
+    for k0 in range(0, period, kernels.BLOCK):
+        code = kernels.first_visits(grid.dims, u, k0, min(kernels.BLOCK, period - k0)).get(tgt)
+        if code is not None:
+            k, signs = divmod(code, 1 << p)
+            return ReachAnswer(True, k, tuple(signs >> (p - 1 - i) & 1 for i in range(p)))
     return ReachAnswer(False, None, None)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from arithbilliards.core import DEFAULT_STATE_BUDGET, BudgetExceededError
+
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -202,9 +204,13 @@ def numerator_poly(spec: SeqSpec) -> IntPolynomial:
 
     Assembled from geometric-block identities and then divided by
     ``(1-x)**2``; the division is exact by construction, and a nonzero
-    remainder would be an internal error (ArithmeticError).
+    remainder would be an internal error (ArithmeticError).  A period
+    ``2*height`` above ``DEFAULT_STATE_BUDGET`` raises
+    :class:`BudgetExceededError` before any polynomial is built.
     """
     t, m = spec.first_term, spec.height
+    if 2 * m > DEFAULT_STATE_BUDGET:
+        raise BudgetExceededError(f"period {2 * m} exceeds budget {DEFAULT_STATE_BUDGET}")
     one = IntPolynomial((1,))
     one_minus_xm = one - monomial(m)
     if spec.sign == "+":
@@ -231,10 +237,15 @@ def gen_function(spec: SeqSpec) -> RationalGF:
 def series_expand(gf: RationalGF, n_terms: int) -> list[int]:
     """First ``n_terms + 1`` power-series coefficients of the function.
 
-    Uses the recurrence ``c[n] = numerator[n] + c[n - period]``.
+    Uses the recurrence ``c[n] = numerator[n] + c[n - period]``.  More than
+    ``DEFAULT_STATE_BUDGET`` coefficients raise :class:`BudgetExceededError`
+    before any is computed.
     """
     if n_terms < 0:
         raise ValueError(f"n_terms must be >= 0, got {n_terms}")
+    if n_terms + 1 > DEFAULT_STATE_BUDGET:
+        raise BudgetExceededError(
+            f"{n_terms + 1} coefficients exceed budget {DEFAULT_STATE_BUDGET}")
     out = []
     for n in range(n_terms + 1):
         c = gf.numerator.coeff(n)

@@ -3,8 +3,9 @@
 Every command writes exactly one JSON document to stdout (SVG bytes go only
 to ``--out`` files) and exits with: 0 ok, 1 consistency-check failure,
 2 bad input (argument errors included, as ``error.type`` "UsageError"),
-3 budget exceeded, 4 I/O error, 5 internal check failed.  Only ``-h``
-prints help text instead.
+3 budget exceeded (``MemoryError`` included), 4 I/O error, 5 internal error
+(a failed library self-check or any other exception; the traceback goes to
+stderr).  Only ``-h`` prints help text instead.
 """
 
 from __future__ import annotations
@@ -304,8 +305,8 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = EXIT_BAD_INPUT
-    except BudgetExceededError as exc:
-        doc["error"] = {"type": "BudgetExceededError", "message": str(exc)}
+    except (BudgetExceededError, MemoryError) as exc:
+        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = EXIT_BUDGET
     except OSError as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -313,6 +314,14 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         # a library self-check (walk replay, open-path vertex, polynomial
         # division) found a wrong result
+        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        code = EXIT_INTERNAL
+    except Exception as exc:
+        # a defect, not bad input: still one document, with the traceback on
+        # stderr (imported here to keep it out of every command's start-up)
+        import traceback
+
+        traceback.print_exc()
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = EXIT_INTERNAL
     return _emit(doc, started, code)

@@ -1,15 +1,36 @@
 """Exhaustive oracle kernels, in pure Python.
 
-The library answers from the paper's closed forms; these loops iterate the
+The library answers from the paper's closed forms; these walks iterate the
 phase dynamics instead and are what the test suite checks those forms
 against.  :func:`least_closure` and :func:`period_sums` are also the bodies
-of :func:`billiards.first_closure` and :func:`billiards.coordinate_sums`, and
-:func:`reach_scan` solves its congruences with
-:func:`core.solve_congruences`, so each oracle loop exists once.
+of :func:`billiards.first_closure` and :func:`billiards.coordinate_sums`,
+:func:`first_visits` is the reachability walk of both :func:`reach_scan`
+and :func:`billiards.light_reachable_oracle`, and :func:`reach_scan` solves
+its congruences with :func:`core.solve_congruences`, so each oracle exists
+once.
 
-Stepping loops wrap each phase circle by comparison (no ``%``) and make no
-call per step.  All functions take plain dimension lists and return plain
-ints/lists.  State and point indexes use the mixed-radix encodings of
+Column walks.  A trajectory is walked in blocks of at most :data:`BLOCK`
+steps.  Within a block each coordinate is stepped once around its own phase
+circle, over at most ``min(2*m_i, n)`` residues for an ``n``-step block, and
+that column is repeated out to the block.  The joint walk over the block is
+then done by C-level operations instead of one Python step at a time: list
+and string repetition, ``map``/``zip``, a dict built in reverse for first
+visits, and AND of integer bit masks for "every coordinate matches at step
+k".  A column never holds more than one block, so a short walk on a grid
+with a long side costs O(steps), not O(m_i).
+
+Independence rules.  Every step up to the limit is examined; the closure
+and reachability walks stop only after the block holding their first hit.
+The walks use no CRT, no gcd/lcm law beyond the period ``2*lcm(dims)`` that
+bounds them, and none of the closed-form helpers of
+:mod:`arithbilliards.core` (``tent_columns``, ``phase_columns``).
+:func:`reach_scan` decides every (source, mask, target) triple by both of
+its methods and memoises nothing across triples; its only per-grid tables
+are the CRT solutions by residue difference (the law side) and the lifts of
+each target.
+
+All functions take plain dimension lists and return plain ints, lists or
+dicts.  State and point indexes use the mixed-radix encodings of
 :mod:`arithbilliards.core` (first coordinate most significant).  Callers are
 responsible for validation and budget checks; these scans assume their
 inputs fit in memory.
@@ -20,10 +41,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from operator import add, itemgetter, ne
 
 from arithbilliards.core import solve_congruences
 
 BACKEND = "python"
+BLOCK = 1024  # steps per block of a column walk
 
 
 def _encode(digits, radices) -> int:
@@ -90,33 +113,50 @@ def trace_paths(two_m) -> list[tuple[int, int]]:
     return out
 
 
+def _turn(u: int, tm: int, k0: int, n: int):
+    """Residues ``(u + k) mod tm`` of the steps ``k = k0 .. k0 + min(n, tm) - 1``:
+    at most one turn of the phase circle."""
+    r = (u + k0) % tm
+    end = r + min(n, tm)
+    if end <= tm:
+        return range(r, end)
+    return [*range(r, tm), *range(end - tm)]
+
+
+def _repeat(column, n: int):
+    """``column``, one turn or a whole block long, repeated out to ``n`` entries."""
+    if len(column) >= n:
+        return column
+    return (column * -(-n // len(column)))[:n]
+
+
 def least_closure(two_m, residues, limit: int) -> int | None:
     """Least ``k`` in ``[1, limit]`` at which the trajectory from ``residues``
     re-reads both its start position and the position one step before the
     start (position equality, not state equality); None if there is none.
 
     Two residues give the same position iff they are equal or mirrored
-    (``u`` and ``2*m - u``).
+    (``u`` and ``2*m - u``).  Per block, each coordinate contributes a bit
+    mask of the steps at which it matches (first step most significant), and
+    the AND of the masks marks the steps at which all of them do.
     """
-    p = len(two_m)
-    start = list(residues)
-    back = [tm - 1 if u == 0 else u - 1 for u, tm in zip(start, two_m)]
-    start_mirror = [tm - u if u else 0 for u, tm in zip(start, two_m)]
-    back_mirror = [tm - v if v else 0 for v, tm in zip(back, two_m)]
-    cur = list(start)
-    for k in range(1, limit + 1):
-        ok = True
-        for i in range(p):
-            prev = cur[i]
-            nxt = prev + 1
-            if nxt == two_m[i]:
-                nxt = 0
-            cur[i] = nxt
-            if ok and (nxt != start[i] and nxt != start_mirror[i]
-                       or prev != back[i] and prev != back_mirror[i]):
-                ok = False
-        if ok:
-            return k
+    coords = []
+    for u, tm in zip(residues, two_m):
+        back = (u - 1) % tm
+        # residues reading the start position, and residues one step after
+        # one reading the position before the start
+        coords.append((u, tm, {u, (tm - u) % tm}, {(back + 1) % tm, (tm - back + 1) % tm}))
+    for k0 in range(1, limit + 1, BLOCK):
+        n = min(BLOCK, limit + 1 - k0)
+        hits = -1
+        for u, tm, starts, afters in coords:
+            bits = "".join(["1" if r in starts and r in afters else "0"
+                            for r in _turn(u, tm, k0, n)])
+            hits &= int(_repeat(bits, n), 2)
+            if not hits:
+                break
+        if hits:
+            return k0 + n - hits.bit_length()
     return None
 
 
@@ -134,107 +174,126 @@ def least_closure_violations(dims) -> int:
     return bad
 
 
+def first_visits(dims, residues, start: int, n: int) -> dict[int, int]:
+    """First visits of the walk over steps ``start .. start+n-1`` from the
+    phase state ``residues``.
+
+    Maps the index of every point visited to ``k * 2**p + signs``, where
+    ``k`` is the least such step and bit ``p-1-i`` of ``signs`` is set when
+    coordinate ``i`` is on its descending branch there (residue not equal to
+    position).  Positions come from the tent projection
+    ``m_i - |m_i - r_i|`` of each residue.
+    """
+    p = len(dims)
+    points = signs = None
+    stride = 1
+    for i in range(p - 1, -1, -1):
+        m = dims[i]
+        turn = _turn(residues[i], 2 * m, start, n)
+        xs = [m - abs(m - r) for r in turn]
+        bit = 1 << (p - 1 - i)
+        point_col = _repeat([x * stride for x in xs], n)
+        sign_col = _repeat([0 if x == r else bit for x, r in zip(xs, turn)], n)
+        points = point_col if points is None else map(add, points, point_col)
+        signs = sign_col if signs is None else map(add, signs, sign_col)
+        stride *= m + 1
+    points = list(points)
+    codes = list(map(add, range(start << p, (start + n) << p, 1 << p), signs))
+    # built in reverse, so the earliest step of each point is written last
+    return dict(zip(reversed(points), reversed(codes)))
+
+
 def reach_scan(dims) -> tuple[int, int]:
     """Exhaustive reachability cross-check over one grid.
 
     For every (source point, direction mask, target point) triple, decides
     reachability twice: by merging per-coordinate congruences, and by walking
-    the full 2*lcm period and recording first visits.  Answers must agree on
-    reachability, least witness, and the sign choice of the target lift.
+    the full 2*lcm period and recording first visits (:func:`first_visits`).
+    Answers must agree on reachability, least witness, and the sign choice of
+    the target lift.
+
+    Both sides write an answer as ``k * 2**p + signs``, and "unreachable" as
+    one value above every answer either side can give.  The law side takes,
+    per target, the least of these over all of the target's lifts (the phase
+    states projecting onto it, each with its sign bits; ties keep the
+    lexicographically first signs), each from the CRT solution for the
+    residue difference between that lift and the source lift.
 
     Returns ``(n_checked, n_mismatch)``.
     """
     dims = list(dims)
     p = len(dims)
     two_m = [2 * m for m in dims]
-    m_plus = [m + 1 for m in dims]
     period = math.lcm(*two_m)
-    n_points = math.prod(m_plus)
-    n_states = math.prod(two_m)
+    n_signs = 1 << p
 
-    # Least solution per residue-difference vector, solved once by CRT merge
-    # (-1 where there is none).
-    crt = []
-    for d in range(n_states):
-        k0 = solve_congruences(_decode(d, two_m), two_m)
-        crt.append(-1 if k0 is None else k0)
+    # Least solution per residue-difference vector, solved once by CRT merge.
+    crt = [solve_congruences(_decode(d, two_m), two_m) for d in range(math.prod(two_m))]
+    unreachable = max([period] + [k + 1 for k in crt if k is not None]) << p
+    # Every axis doubled, so the difference (v_i - u_i) mod 2*m_i of a target
+    # lift v and a source lift u is read at v_i + 2*m_i - u_i, and one slice
+    # of this table shifts all lifts by -u at once.
+    pad_strides = [math.prod(2 * tm for tm in two_m[i + 1:]) for i in range(p)]
+    pad = [
+        unreachable if k is None else k << p
+        for k in (crt[_encode([j % tm for j, tm in zip(js, two_m)], two_m)]
+                  for js in itertools.product(*[range(2 * tm) for tm in two_m]))
+    ]
+    # The lifts of each target: the distinct phase states projecting onto it,
+    # each with the least sign bits giving it (a coordinate at 0 or m_i has
+    # one residue for both signs).  A target with c coordinates off the walls
+    # has 2**c lifts; targets are grouped by c so that each group's answers
+    # are taken in runs of one length.
+    groups = [[] for _ in range(p + 1)]
+    points = list(itertools.product(*[range(m + 1) for m in dims]))
+    for pid, tgt in enumerate(points):
+        lifted: dict[int, int] = {}
+        for sig in range(n_signs):
+            lifted.setdefault(sum(
+                (t if not sig >> (p - 1 - i) & 1 else (tm - t) % tm) * stride
+                for i, (t, tm, stride) in enumerate(zip(tgt, two_m, pad_strides))
+            ), sig)
+        groups[len(lifted).bit_length() - 1].append((pid, lifted))
+    targets = [pid for group in groups for pid, _ in group]
+    runs = [(1 << c, len(group)) for c, group in enumerate(groups) if group]
+    lift_index = [v for group in groups for _, lifted in group for v in lifted]
+    lifts = itemgetter(*lift_index)
+    lift_signs = [sig for group in groups for _, lifted in group for sig in lifted.values()]
+    span = max(lift_index) + 1
 
-    witness = [-1] * n_points
-    stamp = [0] * n_points
-    gen = 0
     checked = 0
     mismatch = 0
-    n_masks = 1 << p
-    point_iter = list(itertools.product(*[range(mp) for mp in m_plus]))
-
-    for src in point_iter:
-        for maskbits in range(n_masks):
+    for src in points:
+        for maskbits in range(n_signs):
             u = [
                 x if not (maskbits >> (p - 1 - i)) & 1 else (two_m[i] - x) % two_m[i]
                 for i, x in enumerate(src)
             ]
-            # Oracle pass: first-visit step for every reachable point.
-            gen += 1
-            cur = list(u)
-            for k in range(period):
-                pid = 0
-                for i in range(p):
-                    m = dims[i]
-                    pid = pid * m_plus[i] + (m - abs(m - cur[i]))
-                if stamp[pid] != gen:
-                    stamp[pid] = gen
-                    witness[pid] = k
-                for i in range(p):
-                    c = cur[i] + 1
-                    if c == two_m[i]:
-                        c = 0
-                    cur[i] = c
-            # Residue differences for both lifts of each target value.
-            dtab = [
-                [((t - u[i]) % two_m[i], ((two_m[i] - t) % two_m[i] - u[i]) % two_m[i])
-                 for t in range(m_plus[i])]
-                for i in range(p)
-            ]
-            for pid_t, tgt in enumerate(point_iter):
-                oracle_k = witness[pid_t] if stamp[pid_t] == gen else -1
-                oracle_sig = -1
-                if oracle_k >= 0:
-                    oracle_sig = 0
-                    for i in range(p):
-                        v = (u[i] + oracle_k) % two_m[i]
-                        oracle_sig = (oracle_sig << 1) | (0 if v == tgt[i] else 1)
-                best = -1
-                best_sig = -1
-                for sig in range(n_masks):
-                    d_idx = 0
-                    for i in range(p):
-                        d_idx = d_idx * two_m[i] + dtab[i][tgt[i]][(sig >> (p - 1 - i)) & 1]
-                    k0 = crt[d_idx]
-                    if k0 >= 0 and (best < 0 or k0 < best):
-                        best = k0
-                        best_sig = sig
-                if best != oracle_k or (best >= 0 and best_sig != oracle_sig):
-                    mismatch += 1
-                checked += 1
+            offset = sum((tm - ui) * stride for ui, tm, stride in zip(u, two_m, pad_strides))
+            answers = map(add, lifts(pad[offset:offset + span]), lift_signs)
+            law = []
+            for size, count in runs:
+                run = itertools.islice(answers, size * count)
+                law += run if size == 1 else map(min, *[run] * size)
+            seen = first_visits(dims, u, 0, period)
+            oracle = map(seen.get, targets, itertools.repeat(unreachable))
+            verdicts = list(map(ne, law, oracle))
+            mismatch += sum(verdicts)
+            checked += len(verdicts)
     return checked, mismatch
 
 
 def period_sums(dims, residues) -> list[int]:
     """Per-coordinate sums of the positions visited over one full period
     ``2*lcm(dims)`` from the phase state ``residues``."""
-    p = len(dims)
-    two_m = [2 * m for m in dims]
-    period = math.lcm(*two_m)
-    sums = [0] * p
-    cur = list(residues)
-    for _ in range(period):
-        for i in range(p):
-            m = dims[i]
-            sums[i] += m - abs(m - cur[i])
-            c = cur[i] + 1
-            if c == two_m[i]:
-                c = 0
-            cur[i] = c
+    period = math.lcm(*[2 * m for m in dims])
+    sums = []
+    for u, m in zip(residues, dims):
+        total = 0
+        for k0 in range(0, period, BLOCK):
+            n = min(BLOCK, period - k0)
+            total += sum(_repeat([m - abs(m - r) for r in _turn(u, 2 * m, k0, n)], n))
+        sums.append(total)
     return sums
 
 

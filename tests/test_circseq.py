@@ -1,5 +1,7 @@
 """Triangle-wave sequences, closed forms, and generating functions."""
 
+import tracemalloc
+
 import pytest
 
 from arithbilliards.billiards import simulate
@@ -12,7 +14,13 @@ from arithbilliards.circseq import (
     numerator_poly,
     series_expand,
 )
-from arithbilliards.core import DirectionMask, GridSpec, Point
+from arithbilliards.core import (
+    DEFAULT_STATE_BUDGET,
+    BudgetExceededError,
+    DirectionMask,
+    GridSpec,
+    Point,
+)
 
 
 def P(*coeffs):
@@ -171,6 +179,29 @@ class TestGenFunction:
     def test_rejects_negative_expansion(self):
         with pytest.raises(ValueError):
             series_expand(gen_function(SeqSpec("+", 1, 2)), -1)
+
+    @pytest.mark.parametrize("build", [numerator_poly, gen_function])
+    def test_height_budget_fires_before_allocating(self, build):
+        spec = SeqSpec("+", 0, DEFAULT_STATE_BUDGET // 2 + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                build(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_expansion_budget_fires_before_allocating(self):
+        gf = gen_function(SeqSpec("-", 1, 3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                series_expand(gf, DEFAULT_STATE_BUDGET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestBilliardsBridge:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from arithbilliards import circseq, cli, render
+from arithbilliards.core import DEFAULT_STATE_BUDGET
 
 
 def run(capsys, *argv):
@@ -298,3 +299,45 @@ class TestInternalCheck:
         assert code == 5
         assert doc["error"]["type"] == "ArithmeticError"
         assert "vertex" in doc["error"]["message"]
+
+
+class TestAnyException:
+    """Whatever a command raises, the CLI still prints one document."""
+
+    def test_memory_error_is_budget(self, capsys, monkeypatch):
+        def exhaust(args):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(cli, "cmd_count", exhaust)
+        code, doc = run(capsys, "count", "--dims", "6,4")
+        assert code == cli.EXIT_BUDGET == 3
+        assert doc["error"] == {"type": "MemoryError", "message": "cannot allocate"}
+        assert "payload" not in doc
+
+    def test_other_exception_is_internal(self, capsys, monkeypatch):
+        def defect(args):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(cli, "cmd_reach", defect)
+        code = cli.main(["reach", "--dims", "6,4", "--from", "0,3", "--to", "3,4"])
+        captured = capsys.readouterr()
+        lines = [line for line in captured.out.splitlines() if line.strip()]
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert code == cli.EXIT_INTERNAL == 5
+        assert doc["error"] == {"type": "KeyError", "message": "'lost'"}
+        assert "Traceback" in captured.err and "KeyError" in captured.err
+
+
+class TestGenfuncBudget:
+    def test_height_over_budget(self, capsys):
+        m = DEFAULT_STATE_BUDGET // 2 + 1
+        code, doc = run(capsys, "genfunc", "--sign", "+", "--t", "0", "--m", str(m))
+        assert code == cli.EXIT_BUDGET
+        assert doc["error"]["type"] == "BudgetExceededError"
+
+    def test_expansion_over_budget(self, capsys):
+        code, doc = run(capsys, "genfunc", "--sign", "-", "--t", "1", "--m", "3",
+                        "--expand", str(DEFAULT_STATE_BUDGET))
+        assert code == cli.EXIT_BUDGET
+        assert doc["error"]["type"] == "BudgetExceededError"
