@@ -3,10 +3,12 @@
 Iterating the single-circle reflection map from a first term ``t`` with
 height ``m`` produces a triangle wave of period ``2m``:
 ``t, t+1, ..., m, m-1, ..., 0, 1, ...`` (positive direction) or its mirror
-(negative direction).  One period packs into an integer polynomial of degree
-at most ``2m - 1``, and the full sequence has the rational generating
-function ``numerator / (1 - x^(2m))``.  All arithmetic here is exact; no
-floating point, no numeric evaluation.
+(negative direction): the tent map ``m - |m - (t +- n) mod 2m|``
+(:func:`circ_seq`), or a case analysis on ``n mod 2m``
+(:func:`circ_seq_closed`).  One period packs into an integer polynomial of
+degree at most ``2m - 1``, and the full sequence has the rational
+generating function ``numerator / (1 - x^(2m))``.  All arithmetic here is
+exact; no floating point, no numeric evaluation.
 """
 
 from __future__ import annotations
@@ -148,15 +150,11 @@ class SeqSpec:
 
 
 def circ_seq(spec: SeqSpec, n: int) -> int:
-    """n-th term, by literally iterating the reflection map n times."""
+    """n-th term: the tent map ``m - |m - u|`` at phase ``u = (t +- n) mod 2m``."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     m = spec.height
-    two_m = 2 * m
-    delta = 1 if spec.sign == "+" else -1
-    u = spec.first_term
-    for _ in range(n):
-        u = (u + delta) % two_m
+    u = (spec.first_term + (n if spec.sign == "+" else -n)) % (2 * m)
     return m - abs(m - u)
 
 

@@ -19,6 +19,7 @@ import time
 
 from arithbilliards import billiards, circseq, walks
 from arithbilliards.core import (
+    DEFAULT_STATE_BUDGET,
     BudgetExceededError,
     DirectionMask,
     GridSpec,
@@ -111,6 +112,9 @@ def cmd_reach(args) -> tuple[dict, int]:
     source = Point(_parse_ints(args.src, "--from"))
     target = Point(_parse_ints(args.to, "--to"))
     if args.any_direction:
+        if 4 ** grid.p > DEFAULT_STATE_BUDGET:  # 2**p masks, 2**p lift signs each
+            raise BudgetExceededError(f"--any-direction needs 4**{grid.p} congruence "
+                                      f"solves, budget is {DEFAULT_STATE_BUDGET}")
         masks = [
             DirectionMask(signs) for signs in itertools.product((0, 1), repeat=grid.p)
         ]
@@ -118,10 +122,13 @@ def cmd_reach(args) -> tuple[dict, int]:
         masks = [_mask(grid, args.mask)]
     best = billiards.ReachAnswer(False, None, None)
     best_mask = masks[0]
+    agree = True
     for mask in masks:
         ans = billiards.light_reachable(grid, source, mask, target)
         if ans.reachable and (best.witness_steps is None or ans.witness_steps < best.witness_steps):
             best, best_mask = ans, mask
+        if args.verify:
+            agree = billiards.light_reachable_oracle(grid, source, mask, target) == ans and agree
     payload = {
         "reachable": best.reachable,
         "witness_steps": best.witness_steps,
@@ -131,11 +138,6 @@ def cmd_reach(args) -> tuple[dict, int]:
     }
     code = EXIT_OK
     if args.verify:
-        agree = True
-        for mask in masks:
-            fast = billiards.light_reachable(grid, source, mask, target)
-            slow = billiards.light_reachable_oracle(grid, source, mask, target)
-            agree = agree and fast == slow
         payload["oracle_checked"] = True
         payload["oracle_agrees"] = agree
         if not agree:

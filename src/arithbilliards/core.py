@@ -316,30 +316,33 @@ def index_of(point: Point) -> OrbitIndex:
 # Mixed-radix encodings shared with the kernels (first coordinate is the most
 # significant digit, so integer order equals lexicographic order on tuples).
 
-def encode_state(grid: GridSpec, state: PhaseState) -> int:
+def encode_digits(digits, radices) -> int:
+    """Mixed-radix index of ``digits`` (``0 <= digits[i] < radices[i]``)."""
     idx = 0
-    for u, tm in zip(state.residues, grid.two_m):
-        idx = idx * tm + u
+    for d, r in zip(digits, radices):
+        idx = idx * r + d
     return idx
+
+
+def decode_digits(index: int, radices) -> list[int]:
+    """Inverse of :func:`encode_digits`."""
+    out = [0] * len(radices)
+    for i in range(len(radices) - 1, -1, -1):
+        index, out[i] = divmod(index, radices[i])
+    return out
+
+
+def encode_state(grid: GridSpec, state: PhaseState) -> int:
+    return encode_digits(state.residues, grid.two_m)
 
 
 def decode_state(grid: GridSpec, index: int) -> PhaseState:
-    residues = [0] * grid.p
-    for i in range(grid.p - 1, -1, -1):
-        tm = grid.two_m[i]
-        index, residues[i] = divmod(index, tm)
-    return PhaseState(tuple(residues))
+    return PhaseState(tuple(decode_digits(index, grid.two_m)))
 
 
 def encode_point(grid: GridSpec, point: Point) -> int:
-    idx = 0
-    for x, m in zip(point.coords, grid.dims):
-        idx = idx * (m + 1) + x
-    return idx
+    return encode_digits(point.coords, [m + 1 for m in grid.dims])
 
 
 def decode_point(grid: GridSpec, index: int) -> Point:
-    coords = [0] * grid.p
-    for i in range(grid.p - 1, -1, -1):
-        index, coords[i] = divmod(index, grid.dims[i] + 1)
-    return Point(tuple(coords))
+    return Point(tuple(decode_digits(index, [m + 1 for m in grid.dims])))

@@ -2,65 +2,52 @@
 
 The library answers from the paper's closed forms; these walks iterate the
 phase dynamics instead and are what the test suite checks those forms
-against.  :func:`least_closure` and :func:`period_sums` are also the bodies
-of :func:`billiards.first_closure` and :func:`billiards.coordinate_sums`,
-:func:`first_visits` is the reachability walk of both :func:`reach_scan`
-and :func:`billiards.light_reachable_oracle`, and :func:`reach_scan` solves
-its congruences with :func:`core.solve_congruences`, so each oracle exists
-once.
+against.  Each walk exists once: :func:`least_closure` and
+:func:`period_sums` are the bodies of :func:`billiards.first_closure` and
+:func:`billiards.coordinate_sums`, :func:`first_visits` is the reachability
+walk of :func:`reach_scan` and :func:`billiards.light_reachable_oracle`,
+:func:`_mark_orbit` is the orbit walk of :func:`trace_paths` (run for a
+seed and its reversal), and :func:`bfs_from` is the diagonal-move BFS of
+:func:`bfs_components` and :func:`walks.find_walk_bfs`.
 
 Column walks.  A trajectory is walked in blocks of at most :data:`BLOCK`
 steps.  Within a block each coordinate is stepped once around its own phase
 circle, over at most ``min(2*m_i, n)`` residues for an ``n``-step block, and
 that column is repeated out to the block.  The joint walk over the block is
 then done by C-level operations instead of one Python step at a time: list
-and string repetition, ``map``/``zip``, a dict built in reverse for first
-visits, and AND of integer bit masks for "every coordinate matches at step
-k".  A column never holds more than one block, so a short walk on a grid
-with a long side costs O(steps), not O(m_i).
+and string repetition, ``map``/``zip`` (sums of stride-scaled columns give
+encoded states), a dict built in reverse for first visits, and AND of
+integer bit masks for "every coordinate matches at step k".  A column never
+holds more than one block, so a short walk on a grid with a long side costs
+O(steps), not O(m_i).
 
 Independence rules.  Every step up to the limit is examined; the closure
 and reachability walks stop only after the block holding their first hit.
 The walks use no CRT, no gcd/lcm law beyond the period ``2*lcm(dims)`` that
-bounds them, and none of the closed-form helpers of
-:mod:`arithbilliards.core` (``tent_columns``, ``phase_columns``).
+bounds them, and no parity-class law.  From :mod:`arithbilliards.core` they
+take only the mixed-radix codec (first coordinate most significant) and
+:func:`core.solve_congruences`, which is the law side of :func:`reach_scan`;
+never the closed-form helpers (``tent_columns``, ``phase_columns``).
 :func:`reach_scan` decides every (source, mask, target) triple by both of
 its methods and memoises nothing across triples; its only per-grid tables
 are the CRT solutions by residue difference (the law side) and the lifts of
 each target.
 
 All functions take plain dimension lists and return plain ints, lists or
-dicts.  State and point indexes use the mixed-radix encodings of
-:mod:`arithbilliards.core` (first coordinate most significant).  Callers are
-responsible for validation and budget checks; these scans assume their
-inputs fit in memory.
+dicts.  Callers are responsible for validation and budget checks; these
+scans assume their inputs fit in memory.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from operator import add, itemgetter, ne
+from operator import add, getitem, itemgetter, ne
 
-from arithbilliards.core import solve_congruences
+from arithbilliards.core import decode_digits, encode_digits, solve_congruences
 
 BACKEND = "python"
 BLOCK = 1024  # steps per block of a column walk
-
-
-def _encode(digits, radices) -> int:
-    idx = 0
-    for d, r in zip(digits, radices):
-        idx = idx * r + d
-    return idx
-
-
-def _decode(index: int, radices) -> list[int]:
-    out = [0] * len(radices)
-    for i in range(len(radices) - 1, -1, -1):
-        index, out[i] = divmod(index, radices[i])
-    return out
 
 
 def trace_paths(two_m) -> list[tuple[int, int]]:
@@ -70,47 +57,41 @@ def trace_paths(two_m) -> list[tuple[int, int]]:
     pair of mutually reversed orbits (a closed path).  Returns one
     ``(representative_index, is_open)`` tuple per geometric path, ascending;
     the representative is the smallest encoded state on the path.
+
+    The least unvisited state seeds the next path.  The visited states form
+    whole orbits closed under reversal, so after the seed's orbit is marked
+    its reversal is visited exactly when the path is open.
     """
     two_m = list(two_m)
-    p = len(two_m)
-    n_states = math.prod(two_m)
+    strides = [math.prod(two_m[i + 1:]) for i in range(len(two_m))]
     period = math.lcm(*two_m)
-    visited = bytearray(n_states)
+    visited = bytearray(math.prod(two_m))
     out: list[tuple[int, int]] = []
-    for seed in range(n_states):
-        if visited[seed]:
-            continue
-        base = _decode(seed, two_m)
+    seed = visited.find(0)
+    while seed >= 0:
+        base = decode_digits(seed, two_m)
+        _mark_orbit(two_m, strides, base, period, visited)
         neg = [(tm - u) % tm for u, tm in zip(base, two_m)]
-        neg_idx = _encode(neg, two_m)
-        self_paired = False
-        cur = list(base)
-        idx = seed
-        for _ in range(period):
-            visited[idx] = 1
-            if idx == neg_idx:
-                self_paired = True
-            idx = 0
-            for i in range(p):
-                c = cur[i] + 1
-                if c == two_m[i]:
-                    c = 0
-                cur[i] = c
-                idx = idx * two_m[i] + c
+        self_paired = visited[encode_digits(neg, two_m)]
         if not self_paired:
-            cur = neg
-            idx = neg_idx
-            for _ in range(period):
-                visited[idx] = 1
-                idx = 0
-                for i in range(p):
-                    c = cur[i] + 1
-                    if c == two_m[i]:
-                        c = 0
-                    cur[i] = c
-                    idx = idx * two_m[i] + c
-        out.append((seed, int(self_paired)))
+            _mark_orbit(two_m, strides, neg, period, visited)
+        out.append((seed, self_paired))
+        seed = visited.find(0, seed + 1)
     return out
+
+
+def _mark_orbit(two_m, strides, residues, period: int, visited: bytearray) -> None:
+    """Set ``visited`` at the encoded states ``residues + k`` for every step
+    ``k`` of one period, a block at a time: each coordinate's column of
+    residues, scaled by its stride, summed into the block's state indexes."""
+    for k0 in range(0, period, BLOCK):
+        n = min(BLOCK, period - k0)
+        codes = None
+        for u, tm, stride in zip(residues, two_m, strides):
+            col = _repeat([r * stride for r in _turn(u, tm, k0, n)], n)
+            codes = col if codes is None else map(add, codes, col)
+        for idx in codes:
+            visited[idx] = 1
 
 
 def _turn(u: int, tm: int, k0: int, n: int):
@@ -228,7 +209,7 @@ def reach_scan(dims) -> tuple[int, int]:
     n_signs = 1 << p
 
     # Least solution per residue-difference vector, solved once by CRT merge.
-    crt = [solve_congruences(_decode(d, two_m), two_m) for d in range(math.prod(two_m))]
+    crt = [solve_congruences(decode_digits(d, two_m), two_m) for d in range(math.prod(two_m))]
     unreachable = max([period] + [k + 1 for k in crt if k is not None]) << p
     # Every axis doubled, so the difference (v_i - u_i) mod 2*m_i of a target
     # lift v and a source lift u is read at v_i + 2*m_i - u_i, and one slice
@@ -236,7 +217,7 @@ def reach_scan(dims) -> tuple[int, int]:
     pad_strides = [math.prod(2 * tm for tm in two_m[i + 1:]) for i in range(p)]
     pad = [
         unreachable if k is None else k << p
-        for k in (crt[_encode([j % tm for j, tm in zip(js, two_m)], two_m)]
+        for k in (crt[encode_digits([j % tm for j, tm in zip(js, two_m)], two_m)]
                   for js in itertools.product(*[range(2 * tm) for tm in two_m]))
     ]
     # The lifts of each target: the distinct phase states projecting onto it,
@@ -311,39 +292,45 @@ def coordinate_sum_violations(dims) -> int:
     return bad
 
 
+def bfs_from(dims, seed: int, parent: list[int]) -> list[int]:
+    """Breadth-first search over lattice points under unit-cell diagonal moves.
+
+    Moves change every coordinate by +-1 and must stay inside the grid; they
+    are explored in lexicographic sign order (+1 before -1, first coordinate
+    first).  ``parent`` holds one entry per encoded point, negative for
+    points not yet reached.  The search starts at ``seed`` (``parent[seed]``
+    is set to ``seed``), sets ``parent[nid] = pid`` when it first reaches
+    ``nid`` from ``pid``, and returns the points it reached in visit order.
+    """
+    radices = [m + 1 for m in dims]
+    strides = [math.prod(radices[i + 1:]) for i in range(len(dims))]
+    # per coordinate, the index offsets of the moves allowed at each value
+    moves = [[(s,)] + [(s, -s)] * (m - 1) + [(-s,)] for m, s in zip(dims, strides)]
+    parent[seed] = seed
+    order = [seed]
+    for pid in order:
+        allowed = map(getitem, moves, decode_digits(pid, radices))
+        for offset in map(sum, itertools.product(*allowed)):
+            nid = pid + offset
+            if parent[nid] < 0:
+                parent[nid] = pid
+                order.append(nid)
+    return order
+
+
 def bfs_components(dims) -> list[int]:
     """Connected components of lattice points under unit-cell diagonal moves.
 
-    Moves change every coordinate by +-1 and must stay inside the grid.
     Returns a component id per encoded point, ids assigned in first-seen
-    (ascending seed) order; neighbor exploration is in lexicographic sign
-    order, so the output is fully deterministic.
+    (ascending seed) order, each component found by one :func:`bfs_from`.
     """
-    dims = list(dims)
-    p = len(dims)
-    m_plus = [m + 1 for m in dims]
-    n_points = math.prod(m_plus)
-    deltas = list(itertools.product((1, -1), repeat=p))
+    n_points = math.prod(m + 1 for m in dims)
+    parent = [-1] * n_points
     comp = [-1] * n_points
     cid = 0
     for seed in range(n_points):
-        if comp[seed] >= 0:
-            continue
-        comp[seed] = cid
-        queue = deque([seed])
-        while queue:
-            pid = queue.popleft()
-            coords = _decode(pid, m_plus)
-            for delta in deltas:
-                nid = 0
-                for i in range(p):
-                    c = coords[i] + delta[i]
-                    if c < 0 or c > dims[i]:
-                        nid = -1
-                        break
-                    nid = nid * m_plus[i] + c
-                if nid >= 0 and comp[nid] < 0:
-                    comp[nid] = cid
-                    queue.append(nid)
-        cid += 1
+        if parent[seed] < 0:
+            for pid in bfs_from(dims, seed, parent):
+                comp[pid] = cid
+            cid += 1
     return comp

@@ -4,14 +4,15 @@ A walk moves a point by one unit-cell diagonal per step (every coordinate
 changes by +-1, staying inside the grid).  Connectivity is governed by the
 parity index of :func:`core.index_of`: points are mutually reachable exactly
 when their indexes agree, giving ``2**(p-1)`` orbits with sizes in closed
-form.  :func:`find_walk` builds its walk from that law; the BFS oracle
-:func:`find_walk_bfs` does not assume it, and the test suite compares them.
+form.  :func:`find_walk` builds its walk from that law.  The oracles do not
+assume it: :func:`find_walk_bfs` and :func:`bfs_component_ids` both run the
+one breadth-first search of the kernels (:func:`kernels.bfs_from`), and the
+test suite compares them with the law.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from arithbilliards import kernels
@@ -22,6 +23,8 @@ from arithbilliards.core import (
     GridSpec,
     OrbitIndex,
     Point,
+    decode_point,
+    encode_point,
     index_of,
     lift,
     project,
@@ -69,7 +72,11 @@ def orbit_size(grid: GridSpec, index: OrbitIndex) -> int:
 
 
 def orbit_partition(grid: GridSpec) -> list[OrbitSummary]:
-    """One summary per parity index, in lexicographic index order."""
+    """One summary per parity index, in lexicographic index order.  More than
+    ``DEFAULT_STATE_BUDGET`` of them raise before any is built."""
+    if 2 ** (grid.p - 1) > DEFAULT_STATE_BUDGET:
+        raise BudgetExceededError(
+            f"grid has 2**{grid.p - 1} orbits, budget is {DEFAULT_STATE_BUDGET}")
     out = []
     for bits in itertools.product((0, 1), repeat=grid.p - 1):
         idx = OrbitIndex(bits)
@@ -139,10 +146,12 @@ def find_walk_bfs(grid: GridSpec, start: Point, goal: Point,
                   max_points: int = DEFAULT_STATE_BUDGET) -> list[DirectionMask] | None:
     """Shortest diagonal walk from ``start`` to ``goal``, or None, by BFS.
 
-    Breadth-first search over lattice points, exploring the ``2**p`` move
-    directions in lexicographic order, so the returned walk is deterministic.
-    Kept as the oracle for :func:`find_walk`; ``max_points`` bounds the
-    grid's point count.  The walk is replayed through
+    Runs the breadth-first search :func:`kernels.bfs_from` from ``start``,
+    which explores the ``2**p`` move directions in lexicographic order, so
+    the returned walk is deterministic, and reads the walk back from its
+    parent links, each move's signs from the coordinate differences.  Kept as
+    the oracle for :func:`find_walk`; ``max_points`` bounds the grid's point
+    count, checked before anything is allocated.  The walk is replayed through
     :func:`core.step_directed` before returning.
     """
     validate_point(grid, start)
@@ -151,35 +160,21 @@ def find_walk_bfs(grid: GridSpec, start: Point, goal: Point,
         raise BudgetExceededError(
             f"grid has {grid.n_points} points, budget is {max_points}"
         )
-    p = grid.p
-    dims = grid.dims
-    moves = [
-        (DirectionMask(signs), tuple(1 if s == 0 else -1 for s in signs))
-        for signs in itertools.product((0, 1), repeat=p)
-    ]
-    seen: dict[tuple[int, ...], tuple[tuple[int, ...], DirectionMask] | None] = {
-        start.coords: None
-    }
-    queue = deque([start.coords])
-    while queue:
-        coords = queue.popleft()
-        if coords == goal.coords:
-            break
-        for mask, delta in moves:
-            nxt = tuple(c + d for c, d in zip(coords, delta))
-            if any(not 0 <= c <= m for c, m in zip(nxt, dims)):
-                continue
-            if nxt not in seen:
-                seen[nxt] = (coords, mask)
-                queue.append(nxt)
-    if goal.coords not in seen:
+    parent = [-1] * grid.n_points
+    origin = encode_point(grid, start)
+    kernels.bfs_from(grid.dims, origin, parent)
+    pid = encode_point(grid, goal)
+    if parent[pid] < 0:
         return None
-    walk: list[DirectionMask] = []
-    coords = goal.coords
-    while coords != start.coords:
-        coords, mask = seen[coords]  # type: ignore[misc]
-        walk.append(mask)
-    walk.reverse()
+    trail = [pid]
+    while pid != origin:
+        pid = parent[pid]
+        trail.append(pid)
+    points = [decode_point(grid, pid).coords for pid in reversed(trail)]
+    walk = [
+        DirectionMask(tuple(0 if y > x else 1 for x, y in zip(here, there)))
+        for here, there in zip(points, points[1:])
+    ]
     _replay(grid, start, goal, walk)
     return walk
 

@@ -76,6 +76,19 @@ class TestSequenceValues:
                     assert circ_seq(plus, n) == circ_seq(minus, (2 * m - n) % (2 * m))
 
 
+class TestTentMap:
+    def test_matches_stepping_the_phase_circle(self):
+        # circ_seq reads the tent map at phase t +- n; step the circle instead
+        for m in range(1, 13):
+            for t in range(m + 1):
+                for sign in "+-":
+                    spec = SeqSpec(sign, t, m)
+                    u = t
+                    for n in range(6 * m):
+                        assert circ_seq(spec, n) == m - abs(m - u), (spec, n)
+                        u = (u + (1 if sign == "+" else -1)) % (2 * m)
+
+
 class TestClosedForm:
     def test_matches_iteration_everywhere(self):
         for m in range(1, 21):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from arithbilliards import circseq, cli, render
+from arithbilliards import billiards, circseq, cli, render, walks
 from arithbilliards.core import DEFAULT_STATE_BUDGET
 
 
@@ -144,6 +144,55 @@ class TestReach:
         assert doc["payload"]["oracle_checked"] is True
         assert doc["payload"]["oracle_agrees"] is True
 
+    def test_verify_answers_each_mask_once(self, capsys, monkeypatch):
+        # one fast answer and one oracle answer per mask: 2**2 masks
+        calls = []
+        fast = billiards.light_reachable
+
+        def counted(*args):
+            calls.append(args)
+            return fast(*args)
+
+        monkeypatch.setattr(billiards, "light_reachable", counted)
+        code, doc = run(
+            capsys, "reach", "--dims", "6,4", "--from", "0,3", "--to", "3,4",
+            "--verify", "--any-direction",
+        )
+        assert code == 0
+        assert doc["payload"]["oracle_agrees"] is True
+        assert len(calls) == 4
+
+    def test_any_direction_budget(self, capsys, monkeypatch):
+        # 4**12 congruence solves exceed the budget: refused before any is run
+        def never(*args):
+            raise AssertionError("light_reachable ran past the budget check")
+
+        monkeypatch.setattr(billiards, "light_reachable", never)
+        code, doc = run(
+            capsys, "reach", "--dims", ",".join(["1"] * 12), "--from", ",".join(["0"] * 12),
+            "--to", ",".join(["1"] * 12), "--any-direction",
+        )
+        assert 4 ** 12 > DEFAULT_STATE_BUDGET
+        assert code == cli.EXIT_BUDGET == 3
+        assert doc["error"]["type"] == "BudgetExceededError"
+
+    def test_any_direction_within_budget(self, capsys, monkeypatch):
+        # 4**11 solves fit: every one of the 2**11 masks is asked
+        calls = []
+
+        def unreachable(*args):
+            calls.append(args)
+            return billiards.ReachAnswer(False, None, None)
+
+        monkeypatch.setattr(billiards, "light_reachable", unreachable)
+        code, doc = run(
+            capsys, "reach", "--dims", ",".join(["1"] * 11), "--from", ",".join(["0"] * 11),
+            "--to", ",".join(["1"] * 11), "--any-direction",
+        )
+        assert 4 ** 11 <= DEFAULT_STATE_BUDGET
+        assert code == 0
+        assert len(calls) == 2 ** 11
+
     def test_all_backward_mask(self, capsys):
         code, doc = run(
             capsys, "reach", "--dims", "6,4", "--from", "1,1", "--to", "2,2",
@@ -180,6 +229,16 @@ class TestOrbits:
         assert code == 0
         payload = doc["payload"]
         assert sum(r["size_formula"] for r in payload["orbits"]) == payload["total_points"]
+
+    def test_orbit_count_over_budget(self, capsys, monkeypatch):
+        # 2**24 orbits on a 25-D grid: refused before any summary is built
+        def never(grid, index):
+            raise AssertionError("orbit_partition built a summary past its budget check")
+
+        monkeypatch.setattr(walks, "orbit_size", never)
+        code, doc = run(capsys, "orbits", "--dims", ",".join(["1"] * 25))
+        assert code == cli.EXIT_BUDGET == 3
+        assert doc["error"]["type"] == "BudgetExceededError"
 
 
 class TestGenfunc:

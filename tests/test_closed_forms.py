@@ -23,12 +23,13 @@ from arithbilliards.core import (
     DirectionMask,
     GridSpec,
     Point,
+    encode_point,
     lift,
     project,
     step,
 )
 from arithbilliards.render import RenderOptions, render_grid
-from arithbilliards.walks import find_walk, find_walk_bfs
+from arithbilliards.walks import bfs_component_ids, find_walk, find_walk_bfs
 
 
 def all_points(grid):
@@ -43,9 +44,14 @@ def orbit(grid, state, n_steps):
     return states
 
 
+# grids whose period 2*lcm spans several blocks of the orbit walk
+MULTI_BLOCK = [(29, 30), (600, 7), (17, 19, 3)]
+
+
 @pytest.mark.parametrize("p,max_m", [(2, 6), (3, 6), (4, 3)])
 def test_enumerate_paths_matches_orbit_tracing(p, max_m):
-    for dims in itertools.product(range(1, max_m + 1), repeat=p):
+    small = itertools.product(range(1, max_m + 1), repeat=p)
+    for dims in itertools.chain(small, [d for d in MULTI_BLOCK if len(d) == p]):
         g = GridSpec(dims)
         assert enumerate_paths(g) == enumerate_paths_exhaustive(g), dims
 
@@ -56,9 +62,13 @@ def test_enumerate_paths_matches_orbit_tracing(p, max_m):
 def test_find_walk_matches_bfs_on_every_pair(dims):
     g = GridSpec(dims)
     points = all_points(g)
+    comp = bfs_component_ids(g)
     for start in points:
         for goal in points:
-            assert find_walk(g, start, goal) == find_walk_bfs(g, start, goal), (start, goal)
+            walk = find_walk_bfs(g, start, goal)
+            assert find_walk(g, start, goal) == walk, (start, goal)
+            apart = comp[encode_point(g, start)] != comp[encode_point(g, goal)]
+            assert (walk is None) == apart, (start, goal)
 
 
 @pytest.mark.parametrize("dims", [(4, 3), (6, 4), (1, 1), (2, 3, 5), (3, 2, 2, 1)])

@@ -5,12 +5,15 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import arithbilliards
+from arithbilliards import walks
 from arithbilliards.core import (
+    DEFAULT_STATE_BUDGET,
     BudgetExceededError,
     DirectionMask,
     GridSpec,
@@ -113,6 +116,24 @@ class TestOrbitPartition:
             assert index_of(s.sample) == s.index
             assert s.size >= 1
 
+    def test_orbit_count_budget(self, monkeypatch):
+        # 2**24 orbits exceed the budget; the check runs before any is built
+        # (a summary built past it fails at once instead of running on)
+        def never(grid, index):
+            raise AssertionError("orbit_partition built a summary past its budget check")
+
+        monkeypatch.setattr(walks, "orbit_size", never)
+        g = GridSpec((1,) * 25)
+        assert 2 ** (g.p - 1) > DEFAULT_STATE_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                orbit_partition(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
 
 class TestBfsPartition:
     @pytest.mark.parametrize("dims", [(6, 4), (1, 1, 1), (3, 2, 4), (2, 2, 2, 2)])
@@ -172,9 +193,16 @@ class TestFindWalk:
                 assert (walk is not None) == same_orbit(src, dst)
 
     def test_budget(self):
-        # the BFS oracle is bounded by the grid's point count
-        with pytest.raises(BudgetExceededError):
-            find_walk_bfs(GridSpec((4000, 4000)), Point((0, 0)), Point((1, 1)))
+        # the BFS oracle is bounded by the grid's point count, checked before
+        # its parent list of 4001**2 entries is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                find_walk_bfs(GridSpec((4000, 4000)), Point((0, 0)), Point((1, 1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_budget_bounds_walk_length(self):
         g = GridSpec((4000, 4000))
