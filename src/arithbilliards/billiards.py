@@ -16,12 +16,11 @@ from enum import Enum
 
 from arithbilliards import kernels
 from arithbilliards.core import (
-    DEFAULT_STATE_BUDGET,
-    BudgetExceededError,
     DirectionMask,
     GridSpec,
     PhaseState,
     Point,
+    check_budget,
     decode_state,
     encode_point,
     lift,
@@ -83,8 +82,7 @@ def geometric_length(grid: GridSpec) -> float:
     return step_length(grid) * math.sqrt(grid.p)
 
 
-def simulate(grid: GridSpec, start: Point, mask: DirectionMask, n_steps: int,
-             max_steps: int = DEFAULT_STATE_BUDGET) -> Trajectory:
+def simulate(grid: GridSpec, start: Point, mask: DirectionMask, n_steps: int) -> Trajectory:
     """Walk ``n_steps`` unit diagonals from ``start``, initially along ``mask``.
 
     The trajectory repeats every ``2*lcm(dims)`` steps, so only the first
@@ -96,8 +94,7 @@ def simulate(grid: GridSpec, start: Point, mask: DirectionMask, n_steps: int,
     validate_mask(grid, mask)
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    if n_steps > max_steps:
-        raise BudgetExceededError(f"{n_steps} steps exceeds budget {max_steps}")
+    check_budget(n_steps, "steps")
     period = step_length(grid)
     count = min(n_steps + 1, period)
     residues = lift(grid, start, mask).residues
@@ -142,7 +139,7 @@ def _path(representative: PhaseState, is_open: bool, k: int) -> Path:
     return Path(representative, kind, k, k // 2 if is_open else k)
 
 
-def enumerate_paths(grid: GridSpec, max_states: int = DEFAULT_STATE_BUDGET) -> list[Path]:
+def enumerate_paths(grid: GridSpec) -> list[Path]:
     """All geometric paths of the grid, from the canonical states of the step orbits.
 
     The step orbits are the cosets of the diagonal ``(1, ..., 1)`` in
@@ -154,13 +151,10 @@ def enumerate_paths(grid: GridSpec, max_states: int = DEFAULT_STATE_BUDGET) -> l
 
     Returns one :class:`Path` per geometric path in ascending order of
     representative, exactly as :func:`enumerate_paths_exhaustive` does.
-    ``max_states`` bounds the number of orbits,
-    ``prod(2*m_i) / (2*lcm(dims))``.
+    The budget bounds the number of orbits, ``prod(2*m_i) / (2*lcm(dims))``.
     """
     k = step_length(grid)
-    n_orbits = grid.n_states // k
-    if n_orbits > max_states:
-        raise BudgetExceededError(f"grid has {n_orbits} step orbits, budget is {max_states}")
+    check_budget(grid.n_states // k, "step orbits")
     # per coordinate after the first: its modulus, the lcm of the moduli
     # before it, their gcd g, and the inverse of lcm/g modulo 2*m_i/g
     moduli = []
@@ -186,8 +180,7 @@ def enumerate_paths(grid: GridSpec, max_states: int = DEFAULT_STATE_BUDGET) -> l
     return paths
 
 
-def enumerate_paths_exhaustive(grid: GridSpec,
-                               max_states: int = DEFAULT_STATE_BUDGET) -> list[Path]:
+def enumerate_paths_exhaustive(grid: GridSpec) -> list[Path]:
     """All geometric paths of the grid, by exhaustive orbit tracing.
 
     Partitions every phase state into step orbits, pairs each orbit with its
@@ -195,11 +188,7 @@ def enumerate_paths_exhaustive(grid: GridSpec,
     order of representative.  Independent of the counting formulas and of
     :func:`enumerate_paths`, which it is used to cross-check.
     """
-    n_states = grid.n_states
-    if n_states > max_states:
-        raise BudgetExceededError(
-            f"grid has {n_states} phase states, budget is {max_states}"
-        )
+    check_budget(grid.n_states, "phase states")
     k = step_length(grid)
     return [
         _path(decode_state(grid, rep_idx), bool(is_open), k)
@@ -230,11 +219,10 @@ def boundary_hits(grid: GridSpec, path: Path) -> int:
 
     Coordinate ``i`` is at a wall at step ``k`` exactly when
     ``k = -u_i (mod m_i)``, so those steps are marked in one sieve over the
-    period.  The period is bounded by ``DEFAULT_STATE_BUDGET``.
+    period.  The budget bounds the period.
     """
     period = path.step_length
-    if period > DEFAULT_STATE_BUDGET:
-        raise BudgetExceededError(f"period {period} exceeds budget {DEFAULT_STATE_BUDGET}")
+    check_budget(period, "period steps")
     hits = bytearray(period)
     for u, m in zip(path.representative.residues, grid.dims):
         first = (-u) % m
@@ -242,8 +230,7 @@ def boundary_hits(grid: GridSpec, path: Path) -> int:
     return hits.count(1)
 
 
-def coordinate_sums(grid: GridSpec, start: PhaseState,
-                    max_steps: int = DEFAULT_STATE_BUDGET) -> tuple[int, ...]:
+def coordinate_sums(grid: GridSpec, start: PhaseState) -> tuple[int, ...]:
     """Per-coordinate position sums over one full period from ``start``.
 
     Direct summation over ``k = 0 .. 2*lcm(dims)-1`` by
@@ -251,9 +238,7 @@ def coordinate_sums(grid: GridSpec, start: PhaseState,
     regardless of the start state.
     """
     validate_state(grid, start)
-    period = step_length(grid)
-    if period > max_steps:
-        raise BudgetExceededError(f"period {period} exceeds budget {max_steps}")
+    check_budget(step_length(grid), "period steps")
     return tuple(kernels.period_sums(grid.dims, start.residues))
 
 
@@ -271,10 +256,12 @@ def light_reachable(grid: GridSpec, source: Point, mask: DirectionMask,
     system ``k = v_i - u_i (mod 2*m_i)`` is solvable for some choice of lift
     signs.  All ``2**p`` sign choices are tried in lexicographic order and
     the least witness wins (ties keep the lexicographically first signs).
+    The budget bounds the ``2**p`` congruence systems.
     """
     validate_point(grid, source)
     validate_point(grid, target)
     validate_mask(grid, mask)
+    check_budget(2 ** grid.p, "congruence systems")
     two_m = grid.two_m
     u = lift(grid, source, mask).residues
     best: int | None = None
@@ -294,8 +281,7 @@ def light_reachable(grid: GridSpec, source: Point, mask: DirectionMask,
 
 
 def light_reachable_oracle(grid: GridSpec, source: Point, mask: DirectionMask,
-                           target: Point,
-                           max_steps: int = DEFAULT_STATE_BUDGET) -> ReachAnswer:
+                           target: Point) -> ReachAnswer:
     """Same contract as :func:`light_reachable`, decided by walking the full
     ``2*lcm(dims)`` period.  Kept independent as a cross-check.
 
@@ -307,8 +293,7 @@ def light_reachable_oracle(grid: GridSpec, source: Point, mask: DirectionMask,
     validate_point(grid, target)
     validate_mask(grid, mask)
     period = step_length(grid)
-    if period > max_steps:
-        raise BudgetExceededError(f"period {period} exceeds budget {max_steps}")
+    check_budget(period, "period steps")
     p = grid.p
     u = lift(grid, source, mask).residues
     tgt = encode_point(grid, target)

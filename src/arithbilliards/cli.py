@@ -19,11 +19,11 @@ import time
 
 from arithbilliards import billiards, circseq, walks
 from arithbilliards.core import (
-    DEFAULT_STATE_BUDGET,
     BudgetExceededError,
     DirectionMask,
     GridSpec,
     Point,
+    check_budget,
 )
 from arithbilliards.render import RenderOptions, render_grid
 
@@ -69,7 +69,7 @@ def cmd_count(args) -> tuple[dict, int]:
         "geometric_length": {
             "steps": k,
             "per_step": f"sqrt({grid.p})",
-            "approx": k * math.sqrt(grid.p),
+            "approx": billiards.geometric_length(grid),
         },
         "gcd_or_lcm_details": {
             "gcd": grid.gcd,
@@ -112,9 +112,8 @@ def cmd_reach(args) -> tuple[dict, int]:
     source = Point(_parse_ints(args.src, "--from"))
     target = Point(_parse_ints(args.to, "--to"))
     if args.any_direction:
-        if 4 ** grid.p > DEFAULT_STATE_BUDGET:  # 2**p masks, 2**p lift signs each
-            raise BudgetExceededError(f"--any-direction needs 4**{grid.p} congruence "
-                                      f"solves, budget is {DEFAULT_STATE_BUDGET}")
+        # 2**p masks, 2**p lift signs each
+        check_budget(4 ** grid.p, "--any-direction congruence systems")
         masks = [
             DirectionMask(signs) for signs in itertools.product((0, 1), repeat=grid.p)
         ]
@@ -286,46 +285,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per exception type; the first match wins.  OverflowError (a grid
+# beyond the 64-bit input limit) must precede ArithmeticError, which is a
+# library self-check (walk replay, open-path vertex, polynomial division)
+# finding a wrong result.  Anything unmatched is a defect.
+_EXIT_CODES = (
+    ((UsageError, ValueError, OverflowError), EXIT_BAD_INPUT),
+    ((BudgetExceededError, MemoryError), EXIT_BUDGET),
+    (OSError, EXIT_IO),
+    (ArithmeticError, EXIT_INTERNAL),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     started = time.perf_counter()
     doc = {"schema_version": SCHEMA_VERSION, "command": None, "grid": None}
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        doc["error"] = {"type": "UsageError", "message": str(exc)}
-        return _emit(doc, started, EXIT_BAD_INPUT)
-    doc["command"] = args.command
-    if getattr(args, "dims", None):
-        try:
-            doc["grid"] = {"dims": list(_parse_ints(args.dims, "--dims"))}
-        except ValueError:
-            pass
-    try:
-        payload, code = args.func(args)
-        doc["payload"] = payload
-    except (ValueError, OverflowError) as exc:
-        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_BAD_INPUT
-    except (BudgetExceededError, MemoryError) as exc:
-        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_BUDGET
-    except OSError as exc:
-        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_IO
-    except ArithmeticError as exc:
-        # a library self-check (walk replay, open-path vertex, polynomial
-        # division) found a wrong result
-        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_INTERNAL
+        doc["command"] = args.command
+        if getattr(args, "dims", None):
+            try:
+                doc["grid"] = {"dims": list(_parse_ints(args.dims, "--dims"))}
+            except ValueError:
+                pass
+        doc["payload"], code = args.func(args)
     except Exception as exc:
-        # a defect, not bad input: still one document, with the traceback on
-        # stderr (imported here to keep it out of every command's start-up)
-        import traceback
+        code = next((c for types, c in _EXIT_CODES if isinstance(exc, types)), None)
+        if code is None:
+            # still one document, with the traceback on stderr (imported
+            # here to keep it out of every command's start-up)
+            import traceback
 
-        traceback.print_exc()
+            traceback.print_exc()
+            code = EXIT_INTERNAL
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_INTERNAL
     return _emit(doc, started, code)
 
 

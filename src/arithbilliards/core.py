@@ -16,12 +16,25 @@ from dataclasses import dataclass
 
 INT64_MAX = 2**63 - 1
 
-#: Default ceiling for exhaustive work (phase states, lattice points, steps).
+#: The one ceiling for exhaustive work (phase states, lattice points, steps,
+#: congruence systems), enforced by :func:`check_budget`.
 DEFAULT_STATE_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive operation would exceed its state/step budget."""
+
+
+def check_budget(needed: int, what: str) -> None:
+    """Refuse work of ``needed`` units of ``what`` above the budget.
+
+    The one budget gate of the package: every bounded operation calls it
+    after validating its input and before allocating.  It reads
+    :data:`DEFAULT_STATE_BUDGET` at call time, so patching that constant
+    moves every bound at once.
+    """
+    if needed > DEFAULT_STATE_BUDGET:
+        raise BudgetExceededError(f"{what}: {needed} needed, budget is {DEFAULT_STATE_BUDGET}")
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,15 @@ from arithbilliards.billiards import (
     step_length,
 )
 from arithbilliards.core import (
-    DEFAULT_STATE_BUDGET,
-    BudgetExceededError,
     GridSpec,
+    check_budget,
     solve_congruences,
     tent_columns,
     validate_state,
 )
+
+GRID_STROKE_WIDTH = 1
+PATH_STROKE_WIDTH = 2
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,6 @@ class RenderOptions:
     cell_size: int = 40
     margin: int = 20
     palette: tuple[str, ...] = ("green", "blue", "red")
-    grid_stroke_width: int = 1
-    path_stroke_width: int = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "palette", tuple(self.palette))
@@ -70,7 +70,7 @@ def _path_columns(grid: GridSpec, path: Path) -> list[list[int]]:
 def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str:
     """Render a 2-D grid with the given Trajectory/Path items as an SVG document.
 
-    The vertices drawn for Path items are bounded by ``DEFAULT_STATE_BUDGET``.
+    The budget bounds the vertices drawn for Path items.
     """
     if grid.p != 2:
         raise ValueError(f"rendering requires a 2-D grid, got {grid.p} dimensions")
@@ -78,11 +78,8 @@ def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str
     if not opts.palette:
         raise ValueError("palette must not be empty")
     items = list(paths)
-    vertices = sum(_path_steps(grid, item) + 1 for item in items if isinstance(item, Path))
-    if vertices > DEFAULT_STATE_BUDGET:
-        raise BudgetExceededError(
-            f"drawing {vertices} path vertices exceeds budget {DEFAULT_STATE_BUDGET}"
-        )
+    check_budget(sum(_path_steps(grid, item) + 1 for item in items if isinstance(item, Path)),
+                 "path vertices")
     m1, m2 = grid.dims
     cell = opts.cell_size
     margin = opts.margin
@@ -100,17 +97,17 @@ def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="{sx(0)}" y="{sy(m2)}" width="{cell * m1}" height="{cell * m2}" '
-        f'fill="white" stroke="black" stroke-width="{opts.grid_stroke_width}"/>',
+        f'fill="white" stroke="black" stroke-width="{GRID_STROKE_WIDTH}"/>',
     ]
     for x in range(1, m1):
         parts.append(
             f'<line x1="{sx(x)}" y1="{sy(0)}" x2="{sx(x)}" y2="{sy(m2)}" '
-            f'stroke="gray" stroke-width="{opts.grid_stroke_width}"/>'
+            f'stroke="gray" stroke-width="{GRID_STROKE_WIDTH}"/>'
         )
     for y in range(1, m2):
         parts.append(
             f'<line x1="{sx(0)}" y1="{sy(y)}" x2="{sx(m1)}" y2="{sy(y)}" '
-            f'stroke="gray" stroke-width="{opts.grid_stroke_width}"/>'
+            f'stroke="gray" stroke-width="{GRID_STROKE_WIDTH}"/>'
         )
     for i, item in enumerate(items):
         if isinstance(item, Trajectory):
@@ -126,7 +123,7 @@ def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str
         color = opts.palette[i % len(opts.palette)]
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{opts.path_stroke_width}"/>'
+            f'stroke-width="{PATH_STROKE_WIDTH}"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

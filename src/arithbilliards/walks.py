@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 from arithbilliards import kernels
 from arithbilliards.core import (
-    DEFAULT_STATE_BUDGET,
-    BudgetExceededError,
     DirectionMask,
     GridSpec,
     OrbitIndex,
     Point,
+    check_budget,
     decode_point,
     encode_point,
     index_of,
@@ -73,10 +72,8 @@ def orbit_size(grid: GridSpec, index: OrbitIndex) -> int:
 
 def orbit_partition(grid: GridSpec) -> list[OrbitSummary]:
     """One summary per parity index, in lexicographic index order.  More than
-    ``DEFAULT_STATE_BUDGET`` of them raise before any is built."""
-    if 2 ** (grid.p - 1) > DEFAULT_STATE_BUDGET:
-        raise BudgetExceededError(
-            f"grid has 2**{grid.p - 1} orbits, budget is {DEFAULT_STATE_BUDGET}")
+    the budget of them raise before any is built."""
+    check_budget(2 ** (grid.p - 1), "orbits")
     out = []
     for bits in itertools.product((0, 1), repeat=grid.p - 1):
         idx = OrbitIndex(bits)
@@ -85,13 +82,9 @@ def orbit_partition(grid: GridSpec) -> list[OrbitSummary]:
     return out
 
 
-def orbit_sizes_bruteforce(grid: GridSpec,
-                           max_points: int = DEFAULT_STATE_BUDGET) -> dict[tuple[int, ...], int]:
+def orbit_sizes_bruteforce(grid: GridSpec) -> dict[tuple[int, ...], int]:
     """Count points per parity index by enumerating the whole grid."""
-    if grid.n_points > max_points:
-        raise BudgetExceededError(
-            f"grid has {grid.n_points} points, budget is {max_points}"
-        )
+    check_budget(grid.n_points, "lattice points")
     counts: dict[tuple[int, ...], int] = {}
     for coords in itertools.product(*[range(m + 1) for m in grid.dims]):
         first = coords[0]
@@ -100,25 +93,20 @@ def orbit_sizes_bruteforce(grid: GridSpec,
     return counts
 
 
-def bfs_component_ids(grid: GridSpec,
-                      max_points: int = DEFAULT_STATE_BUDGET) -> list[int]:
+def bfs_component_ids(grid: GridSpec) -> list[int]:
     """Component id per encoded lattice point under diagonal moves."""
-    if grid.n_points > max_points:
-        raise BudgetExceededError(
-            f"grid has {grid.n_points} points, budget is {max_points}"
-        )
+    check_budget(grid.n_points, "lattice points")
     return kernels.bfs_components(list(grid.dims))
 
 
-def find_walk(grid: GridSpec, start: Point, goal: Point,
-              max_points: int = DEFAULT_STATE_BUDGET) -> list[DirectionMask] | None:
+def find_walk(grid: GridSpec, start: Point, goal: Point) -> list[DirectionMask] | None:
     """Lexicographically least shortest diagonal walk from ``start`` to ``goal``.
 
     Returns None when the parity indexes differ.  Otherwise the walk has
     ``k = max_i |x_i - y_i|`` steps.  At each step every coordinate moves +1
     when that stays inside the grid and leaves the goal coordinate within
     reach of the remaining steps, else -1; preferring +1 coordinate by
-    coordinate gives the walk :func:`find_walk_bfs` returns.  ``max_points``
+    coordinate gives the walk :func:`find_walk_bfs` returns.  The budget
     bounds the walk length ``k``.  The walk is replayed through
     :func:`core.step_directed` before returning.
     """
@@ -127,8 +115,7 @@ def find_walk(grid: GridSpec, start: Point, goal: Point,
     if index_of(start) != index_of(goal):
         return None
     k = max(abs(x - y) for x, y in zip(start.coords, goal.coords))
-    if k > max_points:
-        raise BudgetExceededError(f"walk has {k} steps, budget is {max_points}")
+    check_budget(k, "walk steps")
     at = start.coords
     walk: list[DirectionMask] = []
     for left in range(k - 1, -1, -1):
@@ -142,24 +129,20 @@ def find_walk(grid: GridSpec, start: Point, goal: Point,
     return walk
 
 
-def find_walk_bfs(grid: GridSpec, start: Point, goal: Point,
-                  max_points: int = DEFAULT_STATE_BUDGET) -> list[DirectionMask] | None:
+def find_walk_bfs(grid: GridSpec, start: Point, goal: Point) -> list[DirectionMask] | None:
     """Shortest diagonal walk from ``start`` to ``goal``, or None, by BFS.
 
     Runs the breadth-first search :func:`kernels.bfs_from` from ``start``,
     which explores the ``2**p`` move directions in lexicographic order, so
     the returned walk is deterministic, and reads the walk back from its
     parent links, each move's signs from the coordinate differences.  Kept as
-    the oracle for :func:`find_walk`; ``max_points`` bounds the grid's point
+    the oracle for :func:`find_walk`; the budget bounds the grid's point
     count, checked before anything is allocated.  The walk is replayed through
     :func:`core.step_directed` before returning.
     """
     validate_point(grid, start)
     validate_point(grid, goal)
-    if grid.n_points > max_points:
-        raise BudgetExceededError(
-            f"grid has {grid.n_points} points, budget is {max_points}"
-        )
+    check_budget(grid.n_points, "lattice points")
     parent = [-1] * grid.n_points
     origin = encode_point(grid, start)
     kernels.bfs_from(grid.dims, origin, parent)

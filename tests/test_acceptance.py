@@ -249,7 +249,7 @@ def test_criterion_09_orbit_structure():
 
 def test_criterion_10_wave_suite():
     ok = True
-    # closed form == iteration over two periods, t <= m <= 20
+    # closed form == circ_seq, the tent-map read, over two periods, t <= m <= 20
     for m in range(1, 21):
         for t in range(m + 1):
             for sign in "+-":
@@ -292,7 +292,7 @@ def test_criterion_10_wave_suite():
     ok = ok and series_expand(gen_function(SeqSpec("+", 3, 6)), 12) == [
         3, 4, 5, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3,
     ]
-    # series expansion matches iteration for six periods, m <= 10
+    # series expansion matches circ_seq, the tent-map read, for six periods, m <= 10
     for m in range(1, 11):
         for t in range(m + 1):
             for sign in "+-":

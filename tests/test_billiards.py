@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from arithbilliards import core
 from arithbilliards.billiards import (
     PathKind,
     boundary_hits,
@@ -204,15 +205,17 @@ class TestEnumerate:
         with pytest.raises(BudgetExceededError):
             enumerate_paths_exhaustive(GridSpec((3200, 3200)))
 
-    def test_budget_bounds_orbit_count(self):
-        g = GridSpec((6, 4))
-        assert g.n_states // step_length(g) == 4
-        assert len(enumerate_paths(g, max_states=4)) == 3
-        with pytest.raises(BudgetExceededError):
-            enumerate_paths(g, max_states=3)
+    def test_budget_bounds_orbit_count(self, monkeypatch):
         # 2**24 orbits of two states each
         with pytest.raises(BudgetExceededError):
             enumerate_paths(GridSpec((1,) * 25))
+        g = GridSpec((6, 4))
+        assert g.n_states // step_length(g) == 4
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 4)
+        assert len(enumerate_paths(g)) == 3
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 3)
+        with pytest.raises(BudgetExceededError):
+            enumerate_paths(g)
 
     def test_grid_beyond_the_tracer(self):
         # about 4 * 10**12 phase states: the closed form lists the two open
@@ -293,9 +296,11 @@ class TestCoordinateSums:
         sums = coordinate_sums(g, make_state(g, (5, 1)))
         assert sum(sums) == (6 + 4) * g.lcm
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         g = GridSpec((6, 4))
         state = make_state(g, (0, 0))
-        assert coordinate_sums(g, state, max_steps=24) == (72, 48)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 24)
+        assert coordinate_sums(g, state) == (72, 48)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 23)
         with pytest.raises(BudgetExceededError):
-            coordinate_sums(g, state, max_steps=23)
+            coordinate_sums(g, state)

@@ -91,6 +91,8 @@ class TestTentMap:
 
 class TestClosedForm:
     def test_matches_iteration_everywhere(self):
+        """The case analysis equals circ_seq, the tent-map read
+        ``m - |m - (t +- n) mod 2m|`` (checked by stepping in TestTentMap)."""
         for m in range(1, 21):
             for t in range(m + 1):
                 for sign in "+-":

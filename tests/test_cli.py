@@ -54,6 +54,13 @@ class TestCount:
         assert run(capsys, "count", "--dims", "6,x")[0] == 2
         assert run(capsys, "count", "--dims", "0,4")[0] == 2
 
+    def test_grid_beyond_64_bits_is_bad_input(self, capsys):
+        # OverflowError is an ArithmeticError, yet it is bad input (2), not a
+        # failed self-check (5)
+        code, doc = run(capsys, "count", "--dims", "4611686018427387903,4611686018427387901")
+        assert code == cli.EXIT_BAD_INPUT == 2
+        assert doc["error"]["type"] == "OverflowError"
+
 
 class TestSimulate:
     def test_octagon(self, capsys):
@@ -173,6 +180,21 @@ class TestReach:
             "--to", ",".join(["1"] * 12), "--any-direction",
         )
         assert 4 ** 12 > DEFAULT_STATE_BUDGET
+        assert code == cli.EXIT_BUDGET == 3
+        assert doc["error"]["type"] == "BudgetExceededError"
+
+    def test_sign_choices_budget(self, capsys, monkeypatch):
+        # one mask at p = 24 needs 2**24 congruence systems: refused before any
+        # is solved
+        def never(residues, moduli):
+            raise AssertionError("a congruence system was solved past the budget check")
+
+        monkeypatch.setattr(billiards, "solve_congruences", never)
+        code, doc = run(
+            capsys, "reach", "--dims", ",".join(["1"] * 24), "--from", ",".join(["0"] * 24),
+            "--to", ",".join(["1"] * 24),
+        )
+        assert 2 ** 24 > DEFAULT_STATE_BUDGET
         assert code == cli.EXIT_BUDGET == 3
         assert doc["error"]["type"] == "BudgetExceededError"
 

@@ -38,3 +38,47 @@ def test_kernels_import_only_the_standard_library():
     assert from_package == {"arithbilliards.core.solve_congruences",
                             "arithbilliards.core.encode_digits",
                             "arithbilliards.core.decode_digits"}
+
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _budget_raises(tree, where="<module>"):
+    """Yield the enclosing function name of each ``raise BudgetExceededError``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "BudgetExceededError":
+                yield where
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _budget_raises(node, inner)
+
+
+def test_one_budget_gate():
+    modules = _modules()
+    sites = [f"{name}.{where}" for name, tree in modules.items() for where in _budget_raises(tree)]
+    assert sites == ["core.check_budget"], f"budget raised outside the one gate: {sites}"
+    # only the gate reads the limit; __init__ re-exports it
+    readers = sorted(
+        name for name, tree in modules.items()
+        if any("DEFAULT_STATE_BUDGET" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                          getattr(node, "name", None))
+               for node in ast.walk(tree))
+    )
+    assert readers == ["__init__", "core"]
+
+
+def test_no_per_call_budget_parameters():
+    knobs = sorted(
+        f"{name}.{node.name}({arg.arg})"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg.startswith("max_")
+    )
+    # the one budget is core.DEFAULT_STATE_BUDGET
+    assert knobs == [], f"per-call budget overrides: {knobs}"

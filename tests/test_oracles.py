@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from arithbilliards import kernels
+from arithbilliards import core, kernels
 from arithbilliards.billiards import (
     ReachAnswer,
     first_closure,
@@ -129,12 +129,13 @@ class TestLongGrids:
         assert result is None
         assert peak < 1 << 20
 
-    def test_reachability_oracle_stops_at_the_hit(self):
+    def test_reachability_oracle_stops_at_the_hit(self, monkeypatch):
         # (5000, 0) is first reached at step 5000, several blocks into a period
         # of 2e9 steps
         g = GridSpec((10**9, 2))
         ascending = DirectionMask.ascending(2)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 2 * 10**9)
         result, peak = peak_bytes(lambda: light_reachable_oracle(
-            g, Point((0, 0)), ascending, Point((5000, 0)), max_steps=2 * 10**9))
+            g, Point((0, 0)), ascending, Point((5000, 0))))
         assert result == ReachAnswer(True, 5000, (0, 0))
         assert peak < 1 << 20

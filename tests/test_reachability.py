@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from arithbilliards import billiards, core
 from arithbilliards.billiards import (
     light_reachable,
     light_reachable_oracle,
@@ -99,6 +100,24 @@ class TestOracleEquivalence:
             light_reachable_oracle(g, Point((0, 0)), ASC2, Point((1, 1)))
         # the congruence route has no such limit
         assert light_reachable(g, Point((0, 0)), ASC2, Point((1, 1))).reachable
+
+    def test_sign_choices_budget(self, monkeypatch):
+        # the 2**p lift-sign systems are charged before the first solve
+        def corners(p):
+            return GridSpec((1,) * p), Point((0,) * p), Point((1,) * p)
+
+        g, src, dst = corners(4)
+        unpatched = light_reachable(g, src, DirectionMask.ascending(4), dst)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 16)
+        assert light_reachable(g, src, DirectionMask.ascending(4), dst) == unpatched
+
+        def never(residues, moduli):
+            raise AssertionError("a congruence system was solved past the budget check")
+
+        monkeypatch.setattr(billiards, "solve_congruences", never)
+        g, src, dst = corners(5)
+        with pytest.raises(BudgetExceededError):
+            light_reachable(g, src, DirectionMask.ascending(5), dst)
 
 
 class TestDivisibilityForm:

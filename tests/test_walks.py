@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import arithbilliards
-from arithbilliards import walks
+from arithbilliards import core, walks
 from arithbilliards.core import (
     DEFAULT_STATE_BUDGET,
     BudgetExceededError,
@@ -204,12 +204,14 @@ class TestFindWalk:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
-    def test_budget_bounds_walk_length(self):
+    def test_budget_bounds_walk_length(self, monkeypatch):
         g = GridSpec((4000, 4000))
         assert find_walk(g, Point((0, 0)), Point((1, 1))) == [DirectionMask((0, 0))]
-        assert len(find_walk(g, Point((0, 0)), Point((30, 2)), max_points=30)) == 30
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 30)
+        assert len(find_walk(g, Point((0, 0)), Point((30, 2)))) == 30
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 29)
         with pytest.raises(BudgetExceededError):
-            find_walk(g, Point((0, 0)), Point((30, 2)), max_points=29)
+            find_walk(g, Point((0, 0)), Point((30, 2)))
 
     def test_replay_check_survives_optimize_flag(self):
         # the replay must reject a wrong move even under python -O, which
