@@ -6,36 +6,8 @@ congruence systems, parity-orbit analysis of diagonal walks, triangle-wave
 generating functions, and SVG rendering of 2-D grids.
 """
 
-from arithbilliards.billiards import (
-    Path,
-    PathKind,
-    ReachAnswer,
-    Trajectory,
-    boundary_hits,
-    classify_path,
-    coordinate_sums,
-    count_closed,
-    count_open,
-    enumerate_paths,
-    enumerate_paths_exhaustive,
-    first_closure,
-    geometric_length,
-    light_reachable,
-    light_reachable_oracle,
-    simulate,
-    step_length,
-)
-from arithbilliards.circseq import (
-    IntPolynomial,
-    RationalGF,
-    SeqSpec,
-    circ_seq,
-    circ_seq_closed,
-    gen_function,
-    numerator_poly,
-    ramp_poly,
-    series_expand,
-)
+import importlib
+
 from arithbilliards.core import (
     DEFAULT_STATE_BUDGET,
     BudgetExceededError,
@@ -53,70 +25,87 @@ from arithbilliards.core import (
     step_back,
     step_directed,
 )
-from arithbilliards.render import RenderOptions, render_grid
-from arithbilliards.walks import (
-    OrbitSummary,
-    bfs_component_ids,
-    find_walk,
-    find_walk_bfs,
-    orbit_partition,
-    orbit_size,
-    orbit_sizes_bruteforce,
-    same_orbit,
-)
+
+# Public names of the other modules, each imported on first access (PEP 562),
+# so that a CLI command loads only the modules it runs.
+_LAZY = {
+    "billiards": (
+        "Path",
+        "PathKind",
+        "ReachAnswer",
+        "Trajectory",
+        "boundary_hits",
+        "classify_path",
+        "coordinate_sums",
+        "count_closed",
+        "count_open",
+        "enumerate_paths",
+        "enumerate_paths_exhaustive",
+        "first_closure",
+        "geometric_length",
+        "light_reachable",
+        "light_reachable_oracle",
+        "simulate",
+        "step_length",
+    ),
+    "circseq": (
+        "IntPolynomial",
+        "RationalGF",
+        "SeqSpec",
+        "circ_seq",
+        "circ_seq_closed",
+        "gen_function",
+        "numerator_poly",
+        "ramp_poly",
+        "series_expand",
+    ),
+    "render": ("RenderOptions", "render_grid"),
+    "walks": (
+        "OrbitSummary",
+        "bfs_component_ids",
+        "find_walk",
+        "find_walk_bfs",
+        "orbit_partition",
+        "orbit_size",
+        "orbit_sizes_bruteforce",
+        "same_orbit",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_SUBMODULES = ("billiards", "circseq", "kernels", "render", "walks")
 
 __version__ = "0.1.0"
 
-__all__ = [
+__all__ = sorted([
     "BudgetExceededError",
     "DEFAULT_STATE_BUDGET",
     "DirectionMask",
     "GridSpec",
-    "IntPolynomial",
     "OrbitIndex",
-    "OrbitSummary",
-    "Path",
-    "PathKind",
     "PhaseState",
     "Point",
-    "RationalGF",
-    "ReachAnswer",
-    "RenderOptions",
-    "SeqSpec",
-    "Trajectory",
-    "bfs_component_ids",
-    "boundary_hits",
-    "circ_seq",
-    "circ_seq_closed",
-    "classify_path",
-    "coordinate_sums",
-    "count_closed",
-    "count_open",
-    "enumerate_paths",
-    "enumerate_paths_exhaustive",
-    "find_walk",
-    "find_walk_bfs",
-    "first_closure",
-    "gen_function",
-    "geometric_length",
     "index_of",
     "lift",
-    "light_reachable",
-    "light_reachable_oracle",
     "make_state",
-    "numerator_poly",
-    "orbit_partition",
-    "orbit_size",
-    "orbit_sizes_bruteforce",
     "project",
-    "ramp_poly",
-    "render_grid",
     "reverse",
-    "same_orbit",
-    "series_expand",
-    "simulate",
     "step",
     "step_back",
     "step_directed",
-    "step_length",
-]
+    *_HOME,
+])
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from arithbilliards import kernels
 from arithbilliards.core import (
     DirectionMask,
+    Frozen,
     GridSpec,
     PhaseState,
     Point,
@@ -39,8 +39,7 @@ class PathKind(str, Enum):
     OPEN = "open"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Frozen):
     """One undirected geometric path.
 
     ``representative`` is the lexicographically least phase state anywhere on
@@ -49,23 +48,32 @@ class Path:
     segments.
     """
 
-    representative: PhaseState
-    kind: PathKind
-    step_length: int
-    distinct_segments: int
+    __slots__ = ("representative", "kind", "step_length", "distinct_segments")
+
+    def __init__(self, representative: PhaseState, kind: PathKind, step_length: int,
+                 distinct_segments: int) -> None:
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "step_length", step_length)
+        object.__setattr__(self, "distinct_segments", distinct_segments)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    points: tuple[Point, ...]
-    states: tuple[PhaseState, ...]
+class Trajectory(Frozen):
+    __slots__ = ("points", "states")
+
+    def __init__(self, points: tuple[Point, ...], states: tuple[PhaseState, ...]) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "states", states)
 
 
-@dataclass(frozen=True)
-class ReachAnswer:
-    reachable: bool
-    witness_steps: int | None
-    sign_choice: tuple[int, ...] | None
+class ReachAnswer(Frozen):
+    __slots__ = ("reachable", "witness_steps", "sign_choice")
+
+    def __init__(self, reachable: bool, witness_steps: int | None,
+                 sign_choice: tuple[int, ...] | None) -> None:
+        object.__setattr__(self, "reachable", reachable)
+        object.__setattr__(self, "witness_steps", witness_steps)
+        object.__setattr__(self, "sign_choice", sign_choice)
 
 
 def step_length(grid: GridSpec) -> int:

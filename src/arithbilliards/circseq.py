@@ -13,23 +13,20 @@ exact; no floating point, no numeric evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from arithbilliards.core import check_budget
+from arithbilliards.core import Frozen, check_budget
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Dense integer polynomial; ``coeffs[n]`` is the coefficient of ``x**n``.
 
     Canonical form: no trailing zero coefficients (the zero polynomial is the
     empty tuple).
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        coeffs = tuple(int(c) for c in coeffs)
         n = len(coeffs)
         while n and coeffs[n - 1] == 0:
             n -= 1
@@ -114,39 +111,35 @@ def geometric_sum(n: int) -> IntPolynomial:
     return IntPolynomial((1,) * max(n, 0))
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(Frozen):
     """Generating function ``numerator / (1 - x**period)``."""
 
-    numerator: IntPolynomial
-    period: int
+    __slots__ = ("numerator", "period")
 
-    def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.numerator.degree >= self.period:
-            raise ValueError(
-                f"numerator degree {self.numerator.degree} >= period {self.period}"
-            )
+    def __init__(self, numerator: IntPolynomial, period: int) -> None:
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "period", period)
+        if period < 1:
+            raise ValueError(f"period must be >= 1, got {period}")
+        if numerator.degree >= period:
+            raise ValueError(f"numerator degree {numerator.degree} >= period {period}")
 
 
-@dataclass(frozen=True)
-class SeqSpec:
+class SeqSpec(Frozen):
     """A circular sequence: direction sign, first term, and wave height."""
 
-    sign: str
-    first_term: int
-    height: int
+    __slots__ = ("sign", "first_term", "height")
 
-    def __post_init__(self) -> None:
-        if self.sign not in ("+", "-"):
-            raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
-        if self.height < 1:
-            raise ValueError(f"height must be >= 1, got {self.height}")
-        if not 0 <= self.first_term <= self.height:
-            raise ValueError(
-                f"first term must lie in [0, {self.height}], got {self.first_term}"
-            )
+    def __init__(self, sign: str, first_term: int, height: int) -> None:
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "first_term", first_term)
+        object.__setattr__(self, "height", height)
+        if sign not in ("+", "-"):
+            raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+        if height < 1:
+            raise ValueError(f"height must be >= 1, got {height}")
+        if not 0 <= first_term <= height:
+            raise ValueError(f"first term must lie in [0, {height}], got {first_term}")
 
 
 def circ_seq(spec: SeqSpec, n: int) -> int:

@@ -17,7 +17,6 @@ import math
 import sys
 import time
 
-from arithbilliards import billiards, circseq, walks
 from arithbilliards.core import (
     BudgetExceededError,
     DirectionMask,
@@ -25,7 +24,6 @@ from arithbilliards.core import (
     Point,
     check_budget,
 )
-from arithbilliards.render import RenderOptions, render_grid
 
 SCHEMA_VERSION = "1"
 
@@ -57,7 +55,13 @@ def _mask(grid: GridSpec, text: str | None) -> DirectionMask:
     return mask
 
 
+# Each command imports the library modules it runs, so that a process loads
+# no more than its command needs.  Calls go through module attributes
+# (``billiards.light_reachable``), which tracers and tests may replace.
+
 def cmd_count(args) -> tuple[dict, int]:
+    from arithbilliards import billiards
+
     grid = _grid(args.dims)
     closed = billiards.count_closed(grid)
     opened = billiards.count_open(grid)
@@ -81,8 +85,10 @@ def cmd_count(args) -> tuple[dict, int]:
     }
     try:
         paths = billiards.enumerate_paths_exhaustive(grid)
-    except BudgetExceededError:
-        return payload, EXIT_BUDGET
+    except BudgetExceededError as exc:
+        # refused with the closed forms in hand: main reports both
+        exc.payload = payload
+        raise
     enum_closed = sum(1 for p in paths if p.kind is billiards.PathKind.CLOSED)
     enum_open = sum(1 for p in paths if p.kind is billiards.PathKind.OPEN)
     payload["enumeration"] = {
@@ -95,6 +101,8 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
+    from arithbilliards import billiards
+
     grid = _grid(args.dims)
     start = Point(_parse_ints(args.start, "--start"))
     mask = _mask(grid, args.mask)
@@ -108,6 +116,8 @@ def cmd_simulate(args) -> tuple[dict, int]:
 
 
 def cmd_reach(args) -> tuple[dict, int]:
+    from arithbilliards import billiards
+
     grid = _grid(args.dims)
     source = Point(_parse_ints(args.src, "--from"))
     target = Point(_parse_ints(args.to, "--to"))
@@ -145,6 +155,8 @@ def cmd_reach(args) -> tuple[dict, int]:
 
 
 def cmd_orbits(args) -> tuple[dict, int]:
+    from arithbilliards import walks
+
     grid = _grid(args.dims)
     summaries = walks.orbit_partition(grid)
     try:
@@ -170,6 +182,8 @@ def cmd_orbits(args) -> tuple[dict, int]:
 
 
 def cmd_genfunc(args) -> tuple[dict, int]:
+    from arithbilliards import circseq
+
     spec = circseq.SeqSpec(sign=args.sign, first_term=args.t, height=args.m)
     gf = circseq.gen_function(spec)
     payload = {
@@ -187,6 +201,8 @@ def cmd_genfunc(args) -> tuple[dict, int]:
 
 
 def cmd_render(args) -> tuple[dict, int]:
+    from arithbilliards import billiards, render
+
     grid = _grid(args.dims)
     if grid.p != 2:
         raise ValueError(f"render requires a 2-D grid, got {grid.p} dimensions")
@@ -195,12 +211,12 @@ def cmd_render(args) -> tuple[dict, int]:
         paths = [p for p in paths if p.kind is billiards.PathKind.OPEN]
     elif args.paths == "closed":
         paths = [p for p in paths if p.kind is billiards.PathKind.CLOSED]
-    opts = RenderOptions(
+    opts = render.RenderOptions(
         cell_size=args.cell_size,
         margin=args.margin,
         palette=tuple(args.palette.split(",")) if args.palette else ("green", "blue", "red"),
     )
-    svg = render_grid(grid, paths, opts)
+    svg = render.render_grid(grid, paths, opts)
     data = svg.encode("utf-8")
     with open(args.out, "wb") as fh:
         fh.write(data)
@@ -319,6 +335,8 @@ def main(argv=None) -> int:
 
             traceback.print_exc()
             code = EXIT_INTERNAL
+        if hasattr(exc, "payload"):
+            doc["payload"] = exc.payload
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
     return _emit(doc, started, code)
 

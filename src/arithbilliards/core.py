@@ -12,7 +12,7 @@ is built on these phase circles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 INT64_MAX = 2**63 - 1
 
@@ -37,8 +37,48 @@ def check_budget(needed: int, what: str) -> None:
         raise BudgetExceededError(f"{what}: {needed} needed, budget is {DEFAULT_STATE_BUDGET}")
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` sets each field once through ``object.__setattr__``.
+    Instances compare equal when their classes and fields are equal, hash by
+    their fields, repr as ``Name(field=value, ...)``, refuse assignment and
+    pickle by calling the constructor again.  It stands in for
+    ``@dataclass(frozen=True)``: importing ``dataclasses`` and building the
+    classes cost a short CLI command more than its own work.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # one C-level getter per class: the field value, or a tuple of them
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class GridSpec(Frozen):
     """Dimensions ``(m_1, ..., m_p)`` of an integer grid, ``p >= 2``.
 
     Construction rejects grids whose full period ``2*lcm(dims)`` or
@@ -47,10 +87,10 @@ class GridSpec:
     Python integers and would not wrap.
     """
 
-    dims: tuple[int, ...]
+    __slots__ = ("dims",)
 
-    def __post_init__(self) -> None:
-        dims = tuple(self.dims)
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        dims = tuple(dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 2:
             raise ValueError(
@@ -95,18 +135,16 @@ class GridSpec:
         return 2 ** (self.p - 1) * math.prod(self.dims)
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Frozen):
     """Lattice point with ``0 <= x_i <= m_i``."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(self.coords))
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coords", tuple(coords))
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(Frozen):
     """Per-coordinate residues ``u_i`` modulo ``2*m_i``.
 
     The lattice position is recovered per coordinate by the tent map
@@ -114,20 +152,19 @@ class PhaseState:
     (reflected) travel.
     """
 
-    residues: tuple[int, ...]
+    __slots__ = ("residues",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "residues", tuple(self.residues))
+    def __init__(self, residues: tuple[int, ...]) -> None:
+        object.__setattr__(self, "residues", tuple(residues))
 
 
-@dataclass(frozen=True)
-class DirectionMask:
+class DirectionMask(Frozen):
     """Per-coordinate travel directions: 0 = forward, 1 = backward."""
 
-    signs: tuple[int, ...]
+    __slots__ = ("signs",)
 
-    def __post_init__(self) -> None:
-        signs = tuple(self.signs)
+    def __init__(self, signs: tuple[int, ...]) -> None:
+        signs = tuple(signs)
         object.__setattr__(self, "signs", signs)
         if any(s not in (0, 1) for s in signs):
             raise ValueError(f"mask signs must be 0 or 1, got {signs!r}")
@@ -153,14 +190,13 @@ class DirectionMask:
         return "".join("+" if s == 0 else "-" for s in self.signs)
 
 
-@dataclass(frozen=True)
-class OrbitIndex:
+class OrbitIndex(Frozen):
     """Parity vector ``((x_1+x_2) mod 2, ..., (x_1+x_p) mod 2)`` of a point."""
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(self.bits))
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "bits", tuple(bits))
 
 
 def validate_point(grid: GridSpec, point: Point) -> None:

@@ -8,8 +8,6 @@ only, fixed attribute order, byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from arithbilliards.billiards import (
     Path,
     PathKind,
@@ -17,6 +15,7 @@ from arithbilliards.billiards import (
     step_length,
 )
 from arithbilliards.core import (
+    Frozen,
     GridSpec,
     check_budget,
     solve_congruences,
@@ -26,20 +25,33 @@ from arithbilliards.core import (
 
 GRID_STROKE_WIDTH = 1
 PATH_STROKE_WIDTH = 2
+#: Characters that would end or escape the SVG attribute a color is written to.
+MARKUP_CHARS = "\"'<>&"
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    cell_size: int = 40
-    margin: int = 20
-    palette: tuple[str, ...] = ("green", "blue", "red")
+class RenderOptions(Frozen):
+    """Drawing scale and the stroke colors cycled over the drawn items.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "palette", tuple(self.palette))
-        if self.cell_size < 1:
-            raise ValueError(f"cell_size must be >= 1, got {self.cell_size}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
+    Each palette entry is written into an SVG attribute as given, so it must
+    be non-empty and free of :data:`MARKUP_CHARS`.
+    """
+
+    __slots__ = ("cell_size", "margin", "palette")
+
+    def __init__(self, cell_size: int = 40, margin: int = 20,
+                 palette: tuple[str, ...] = ("green", "blue", "red")) -> None:
+        palette = tuple(palette)
+        object.__setattr__(self, "cell_size", cell_size)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "palette", palette)
+        if cell_size < 1:
+            raise ValueError(f"cell_size must be >= 1, got {cell_size}")
+        if margin < 0:
+            raise ValueError(f"margin must be >= 0, got {margin}")
+        for color in palette:
+            if not color or any(ch in color for ch in MARKUP_CHARS):
+                raise ValueError(f"palette entries must be non-empty and free of "
+                                 f"{MARKUP_CHARS}, got {color!r}")
 
 
 def _path_steps(grid: GridSpec, path: Path) -> int:

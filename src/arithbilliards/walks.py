@@ -13,11 +13,11 @@ test suite compares them with the law.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from arithbilliards import kernels
 from arithbilliards.core import (
     DirectionMask,
+    Frozen,
     GridSpec,
     OrbitIndex,
     Point,
@@ -32,11 +32,13 @@ from arithbilliards.core import (
 )
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
-    index: OrbitIndex
-    size: int
-    sample: Point
+class OrbitSummary(Frozen):
+    __slots__ = ("index", "size", "sample")
+
+    def __init__(self, index: OrbitIndex, size: int, sample: Point) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "sample", sample)
 
 
 def same_orbit(p1: Point, p2: Point) -> bool:

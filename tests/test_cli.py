@@ -48,6 +48,7 @@ class TestCount:
         assert code == 3
         assert doc["payload"]["closed"] == 3199
         assert doc["payload"]["enumeration"] is None
+        assert doc["error"]["type"] == "BudgetExceededError"
 
     def test_bad_dims(self, capsys):
         assert run(capsys, "count", "--dims", "6")[0] == 2
@@ -322,6 +323,15 @@ class TestRender:
     def test_unwritable_path(self, capsys, tmp_path):
         out = tmp_path / "missing" / "deep" / "fig.svg"
         assert run(capsys, "render", "--dims", "6,4", "--out", str(out))[0] == 4
+
+    @pytest.mark.parametrize("palette", ['red"/><script>alert(1)</script><x a="', ",", "red,"])
+    def test_rejects_palette_markup(self, capsys, tmp_path, palette):
+        out = tmp_path / "z.svg"
+        code, doc = run(capsys, "render", "--dims", "2,2", "--out", str(out),
+                        "--palette", palette)
+        assert code == cli.EXIT_BAD_INPUT == 2
+        assert doc["error"]["type"] == "ValueError"
+        assert not out.exists()
 
 
 class TestRoundTrip:

@@ -100,6 +100,11 @@ class TestErrors:
         with pytest.raises(ValueError):
             render_grid(GridSpec((2, 2)), [], RenderOptions(palette=()))
 
+    @pytest.mark.parametrize("color", ["", 'red"', "red'", "<script>", "a>b", "&amp;"])
+    def test_rejects_palette_markup(self, color):
+        with pytest.raises(ValueError, match="palette"):
+            RenderOptions(palette=("green", color))
+
     def test_rejects_bad_cell_size(self):
         with pytest.raises(ValueError):
             RenderOptions(cell_size=0)
