@@ -56,7 +56,6 @@ _LAZY = {
         "circ_seq_closed",
         "gen_function",
         "numerator_poly",
-        "ramp_poly",
         "series_expand",
     ),
     "render": ("RenderOptions", "render_grid"),

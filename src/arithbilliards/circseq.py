@@ -5,9 +5,10 @@ height ``m`` produces a triangle wave of period ``2m``:
 ``t, t+1, ..., m, m-1, ..., 0, 1, ...`` (positive direction) or its mirror
 (negative direction): the tent map ``m - |m - (t +- n) mod 2m|``
 (:func:`circ_seq`), or a case analysis on ``n mod 2m``
-(:func:`circ_seq_closed`).  One period packs into an integer polynomial of
-degree at most ``2m - 1``, and the full sequence has the rational
-generating function ``numerator / (1 - x^(2m))``.  All arithmetic here is
+(:func:`circ_seq_closed`).  The full sequence has the rational generating
+function ``numerator / (1 - x^(2m))`` whose numerator is one period of the
+wave, ``c_0 + c_1 x + ... + c_(2m-1) x^(2m-1)``: :func:`numerator_poly` reads
+it off the wave and :func:`series_expand` repeats it.  All arithmetic here is
 exact; no floating point, no numeric evaluation.
 """
 
@@ -20,13 +21,16 @@ class IntPolynomial(Frozen):
     """Dense integer polynomial; ``coeffs[n]`` is the coefficient of ``x**n``.
 
     Canonical form: no trailing zero coefficients (the zero polynomial is the
-    empty tuple).
+    empty tuple).  Coefficients must be ``int``; a ``bool``, float or other
+    type raises ValueError rather than being truncated.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        if not all(type(c) is int for c in coeffs):
+            raise ValueError(f"coefficients must be integers, got {coeffs!r}")
         n = len(coeffs)
         while n and coeffs[n - 1] == 0:
             n -= 1
@@ -40,21 +44,6 @@ class IntPolynomial(Frozen):
     def coeff(self, n: int) -> int:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(tuple(out))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -66,59 +55,17 @@ class IntPolynomial(Frozen):
                     out[i + j] += ca * cb
         return IntPolynomial(tuple(out))
 
-    def divmod(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Long division over the integers.
-
-        Requires every leading-coefficient division to be exact (always true
-        for the monic divisors used here); raises ArithmeticError otherwise.
-        """
-        if not divisor.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = divisor.coeffs
-        dn = len(d)
-        lead = d[-1]
-        if len(rem) < dn:
-            return IntPolynomial(()), IntPolynomial(tuple(rem))
-        quot = [0] * (len(rem) - dn + 1)
-        for shift in range(len(rem) - dn, -1, -1):
-            c = rem[shift + dn - 1]
-            if c == 0:
-                continue
-            q, r = divmod(c, lead)
-            if r:
-                raise ArithmeticError(
-                    f"non-exact integer division of {c} by leading coefficient {lead}"
-                )
-            quot[shift] = q
-            for i in range(dn):
-                rem[shift + i] -= q * d[i]
-        return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem))
-
-    def div_exact(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        quot, rem = self.divmod(divisor)
-        if rem.coeffs:
-            raise ArithmeticError(f"polynomial division left remainder {rem.coeffs!r}")
-        return quot
-
-
-def monomial(degree: int, coefficient: int = 1) -> IntPolynomial:
-    return IntPolynomial((0,) * degree + (coefficient,))
-
-
-def geometric_sum(n: int) -> IntPolynomial:
-    """``1 + x + ... + x**(n-1)``, i.e. ``(1 - x**n) / (1 - x)``; zero for n <= 0."""
-    return IntPolynomial((1,) * max(n, 0))
-
 
 class RationalGF(Frozen):
-    """Generating function ``numerator / (1 - x**period)``."""
+    """Generating function ``numerator / (1 - x**period)``, ``period`` an ``int``."""
 
     __slots__ = ("numerator", "period")
 
     def __init__(self, numerator: IntPolynomial, period: int) -> None:
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "period", period)
+        if type(period) is not int:
+            raise ValueError(f"period must be an integer, got {period!r}")
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
         if numerator.degree >= period:
@@ -126,7 +73,7 @@ class RationalGF(Frozen):
 
 
 class SeqSpec(Frozen):
-    """A circular sequence: direction sign, first term, and wave height."""
+    """A circular sequence: direction sign, first term, and wave height (both ``int``)."""
 
     __slots__ = ("sign", "first_term", "height")
 
@@ -136,6 +83,9 @@ class SeqSpec(Frozen):
         object.__setattr__(self, "height", height)
         if sign not in ("+", "-"):
             raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+        for name, value in (("first term", first_term), ("height", height)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if height < 1:
             raise ValueError(f"height must be >= 1, got {height}")
         if not 0 <= first_term <= height:
@@ -170,54 +120,19 @@ def circ_seq_closed(spec: SeqSpec, n: int) -> int:
     return 2 * m + t - i
 
 
-def ramp_poly(start: int, stop: int) -> IntPolynomial:
-    """``start*x**(start-1) + (start+1)*x**start + ... + stop*x**(stop-1)``.
-
-    Satisfies ``(1-x)**2 * ramp = start*x**(start-1) - (start-1)*x**start
-    - (stop+1)*x**stop + stop*x**(stop+1)`` as a polynomial identity.
-    """
-    if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
-    if stop < start:
-        raise ValueError(f"stop must be >= start, got {stop} < {start}")
-    coeffs = [0] * stop
-    for j in range(start - 1, stop):
-        coeffs[j] = j + 1
-    return IntPolynomial(tuple(coeffs))
-
-
-_ONE_MINUS_X = IntPolynomial((1, -1))
-_ONE_MINUS_X_SQ = _ONE_MINUS_X * _ONE_MINUS_X
-
-
 def numerator_poly(spec: SeqSpec) -> IntPolynomial:
-    """One period of the sequence as a polynomial, built in closed form.
+    """One period ``c_0, ..., c_(2m-1)`` of the wave as a polynomial.
 
-    Assembled from geometric-block identities and then divided by
-    ``(1-x)**2``; the division is exact by construction, and a nonzero
-    remainder would be an internal error (ArithmeticError).  A period
-    ``2*height`` above the budget raises :class:`BudgetExceededError`
-    before any polynomial is built.
+    The phase-0 period ``0, 1, ..., m, m-1, ..., 1`` rotated to start at
+    ``t``, read forward or backward by the sign.  A period ``2*height`` above
+    the budget raises :class:`BudgetExceededError` before any term is built.
     """
     t, m = spec.first_term, spec.height
     check_budget(2 * m, "period terms")
-    one = IntPolynomial((1,))
-    one_minus_xm = one - monomial(m)
+    wave = [*range(m + 1), *range(m - 1, 0, -1)]
     if spec.sign == "+":
-        # x*(1 - x^(m-t)) - (x^(m-t+1) - x^m) + ((t-1)*x^m + t)*(1 - x)
-        inner = (
-            monomial(1) * (one - monomial(m - t))
-            - (monomial(m - t + 1) - monomial(m))
-            + (monomial(m, t - 1) + IntPolynomial((t,))) * _ONE_MINUS_X
-        )
-    else:
-        # x^(t+1)*(1 - x^(m-t)) - x*(1 - x^t) + t*(x^m + 1)*(1 - x)
-        inner = (
-            monomial(t + 1) * (one - monomial(m - t))
-            - monomial(1) * (one - monomial(t))
-            + (monomial(m, t) + IntPolynomial((t,))) * _ONE_MINUS_X
-        )
-    return (one_minus_xm * inner).div_exact(_ONE_MINUS_X_SQ)
+        return IntPolynomial(wave[t:] + wave[:t])
+    return IntPolynomial(wave[t::-1] + wave[:t:-1])
 
 
 def gen_function(spec: SeqSpec) -> RationalGF:
@@ -227,17 +142,17 @@ def gen_function(spec: SeqSpec) -> RationalGF:
 def series_expand(gf: RationalGF, n_terms: int) -> list[int]:
     """First ``n_terms + 1`` power-series coefficients of the function.
 
-    Uses the recurrence ``c[n] = numerator[n] + c[n - period]``.  More
+    The numerator's degree is below the period, so ``c[n]`` is
+    ``numerator[n mod period]``: the coefficients padded with zeros to one
+    period (or to ``n_terms + 1`` if that is shorter), repeated.  More
     coefficients than the budget raise :class:`BudgetExceededError` before
     any is computed.
     """
     if n_terms < 0:
         raise ValueError(f"n_terms must be >= 0, got {n_terms}")
-    check_budget(n_terms + 1, "coefficients")
-    out = []
-    for n in range(n_terms + 1):
-        c = gf.numerator.coeff(n)
-        if n >= gf.period:
-            c += out[n - gf.period]
-        out.append(c)
-    return out
+    count = n_terms + 1
+    check_budget(count, "coefficients")
+    block = list(gf.numerator.coeffs[:count])
+    block += [0] * (min(gf.period, count) - len(block))
+    repeats, rest = divmod(count, len(block))
+    return block * repeats + block[:rest]

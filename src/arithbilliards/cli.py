@@ -272,9 +272,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument("--mask", action=_MaskAction, help="source directions as +/- (default all +)")
-    p.add_argument("--any-direction", action="store_true",
-                   help="try every initial direction mask")
+    directions = p.add_mutually_exclusive_group()
+    directions.add_argument("--mask", action=_MaskAction,
+                            help="source directions as +/- (default all +)")
+    directions.add_argument("--any-direction", action="store_true",
+                            help="try every initial direction mask")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the full-period iteration oracle")
     p.set_defaults(func=cmd_reach)
@@ -303,8 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Exit code per exception type; the first match wins.  OverflowError (a grid
 # beyond the 64-bit input limit) must precede ArithmeticError, which is a
-# library self-check (walk replay, open-path vertex, polynomial division)
-# finding a wrong result.  Anything unmatched is a defect.
+# library self-check (walk replay, open-path vertex) finding a wrong result.
+# Anything unmatched is a defect.
 _EXIT_CODES = (
     ((UsageError, ValueError, OverflowError), EXIT_BAD_INPUT),
     ((BudgetExceededError, MemoryError), EXIT_BUDGET),

@@ -32,8 +32,10 @@ MARKUP_CHARS = "\"'<>&"
 class RenderOptions(Frozen):
     """Drawing scale and the stroke colors cycled over the drawn items.
 
-    Each palette entry is written into an SVG attribute as given, so it must
-    be non-empty and free of :data:`MARKUP_CHARS`.
+    ``cell_size`` and ``margin`` must be ``int`` (not ``bool``), so every
+    coordinate written is an integer.  Each palette entry is written into an
+    SVG attribute as given, so it must be non-empty and free of
+    :data:`MARKUP_CHARS`.
     """
 
     __slots__ = ("cell_size", "margin", "palette")
@@ -44,6 +46,9 @@ class RenderOptions(Frozen):
         object.__setattr__(self, "cell_size", cell_size)
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "palette", palette)
+        for name, value in (("cell_size", cell_size), ("margin", margin)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if cell_size < 1:
             raise ValueError(f"cell_size must be >= 1, got {cell_size}")
         if margin < 0:

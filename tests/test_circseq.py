@@ -1,5 +1,6 @@
 """Triangle-wave sequences, closed forms, and generating functions."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from arithbilliards.billiards import simulate
 from arithbilliards.circseq import (
     IntPolynomial,
+    RationalGF,
     SeqSpec,
     circ_seq,
     circ_seq_closed,
@@ -32,7 +34,11 @@ def seq_values(spec, count):
 
 
 class TestSeqSpec:
-    @pytest.mark.parametrize("sign,t,m", [("x", 1, 2), ("+", -1, 2), ("+", 3, 2), ("-", 0, 0)])
+    @pytest.mark.parametrize("sign,t,m", [
+        ("x", 1, 2), ("+", -1, 2), ("+", 3, 2), ("-", 0, 0),
+        # not integers: ("+", 1.5, 3) would make circ_seq return 2.5
+        ("+", 1.5, 3), ("+", 1, 3.0), ("-", 2.0, 4), ("+", True, 3), ("-", 0, True), ("+", "1", 3),
+    ])
     def test_rejects_bad_specs(self, sign, t, m):
         with pytest.raises(ValueError):
             SeqSpec(sign, t, m)
@@ -159,6 +165,23 @@ class TestNumeratorPoly:
             for t in range(m + 1):
                 assert numerator_poly(SeqSpec("+", t, m)).degree <= 2 * m - 1
 
+    def test_large_height_against_closed_form(self):
+        # m = 10**5 at sampled (t, sign): every branch end of circ_seq_closed
+        # and its neighbours, both period ends, and random positions
+        m = 10**5
+        rng = random.Random(9)
+        pairs = [(0, "+"), (m, "-"), (1, "-"), (m - 1, "+")]
+        pairs += [(rng.randint(0, m), rng.choice("+-")) for _ in range(46)]
+        for t, sign in pairs:
+            spec = SeqSpec(sign, t, m)
+            num = numerator_poly(spec)
+            assert num.degree <= 2 * m - 1
+            ends = (0, t, m - t, m + t, 2 * m - t, 2 * m - 1)
+            positions = {e + d for e in ends for d in (-1, 0, 1)}
+            positions.update(rng.randrange(2 * m) for _ in range(64))
+            for n in sorted(p for p in positions if 0 <= p < 2 * m):
+                assert num.coeff(n) == circ_seq_closed(spec, n), (spec, n)
+
 
 class TestGenFunction:
     def test_structure(self):
@@ -190,6 +213,29 @@ class TestGenFunction:
                     assert series_expand(gf, n_terms) == [
                         circ_seq(spec, n) for n in range(n_terms + 1)
                     ]
+
+    @pytest.mark.parametrize("coeffs,period", [
+        ((1, 0, 2), 5), ((0, 0, 3), 3), ((), 4), ((7,), 1), ((-1, 0, 0, 4), 6),
+    ])
+    def test_hand_built_function_against_recurrence(self, coeffs, period):
+        # a numerator shorter than its period, with inner zeros: the series
+        # follows c[n] = num[n] + c[n - period] from (1 - x**period) * S = num
+        gf = RationalGF(IntPolynomial(coeffs), period)
+        for n_terms in (0, 1, len(coeffs), period - 1, period, 3 * period + 2):
+            want = []
+            for n in range(n_terms + 1):
+                want.append(gf.numerator.coeff(n) + (want[n - period] if n >= period else 0))
+            assert series_expand(gf, n_terms) == want
+
+    @pytest.mark.parametrize("period", [0, 2.5, 3.0, True])
+    def test_rejects_bad_period(self, period):
+        with pytest.raises(ValueError, match="period"):
+            RationalGF(IntPolynomial(()), period)
+
+    def test_few_terms_of_a_long_period(self):
+        # the terms asked for, not the period, bound the work
+        gf = RationalGF(IntPolynomial((1, 0, 2)), 10**15)
+        assert series_expand(gf, 4) == [1, 0, 2, 0, 0]
 
     def test_rejects_negative_expansion(self):
         with pytest.raises(ValueError):

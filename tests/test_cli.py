@@ -356,6 +356,9 @@ class TestUsageErrors:
         ["count"],
         ["bogus"],
         ["simulate", "--dims", "6,4", "--start", "2,2", "--steps", "3", "--mask", "-+"],
+        # --any-direction tries every mask, so a --mask beside it is an error
+        *(["reach", "--dims", "6,4", "--from", "0,2", "--to", "3,4", "--any-direction", mask]
+          for mask in ("--mask=+x", "--mask=+-+", "--mask=++", "--mask=--")),
     ])
     def test_one_document(self, capsys, argv):
         code, doc = run(capsys, *argv)

@@ -109,6 +109,15 @@ class TestErrors:
         with pytest.raises(ValueError):
             RenderOptions(cell_size=0)
 
+    @pytest.mark.parametrize("options", [
+        {"cell_size": 1.5}, {"margin": 0.25}, {"cell_size": 40.0}, {"margin": True},
+        {"cell_size": "40"},
+    ])
+    def test_rejects_non_integer_scale(self, options):
+        # a fractional scale would write fractional coordinates
+        with pytest.raises(ValueError, match="integer"):
+            RenderOptions(**options)
+
     def test_rejects_unknown_items(self):
         with pytest.raises(TypeError):
             render_grid(GridSpec((2, 2)), ["not a path"])
