@@ -142,6 +142,15 @@ def classify_path(grid: GridSpec, state: PhaseState) -> PathKind:
     return PathKind.CLOSED
 
 
+def validate_path(grid: GridSpec, path: Path) -> None:
+    """Reject a :class:`Path` from another grid: its representative must be a
+    state of ``grid`` and its step length ``2*lcm(dims)``."""
+    validate_state(grid, path.representative)
+    if path.step_length != step_length(grid):
+        raise ValueError(f"path step length {path.step_length} does not match "
+                         f"2*lcm{grid.dims!r} = {step_length(grid)}")
+
+
 def _path(representative: PhaseState, is_open: bool, k: int) -> Path:
     kind = PathKind.OPEN if is_open else PathKind.CLOSED
     return Path(representative, kind, k, k // 2 if is_open else k)
@@ -229,6 +238,7 @@ def boundary_hits(grid: GridSpec, path: Path) -> int:
     ``k = -u_i (mod m_i)``, so those steps are marked in one sieve over the
     period.  The budget bounds the period.
     """
+    validate_path(grid, path)
     period = path.step_length
     check_budget(period, "period steps")
     hits = bytearray(period)

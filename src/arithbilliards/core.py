@@ -203,6 +203,8 @@ def validate_point(grid: GridSpec, point: Point) -> None:
     if len(point.coords) != grid.p:
         raise ValueError(f"point arity {len(point.coords)} does not match grid arity {grid.p}")
     for x, m in zip(point.coords, grid.dims):
+        if type(x) is not int:
+            raise ValueError(f"point coordinates must be integers, got {point.coords!r}")
         if not 0 <= x <= m:
             raise ValueError(f"point {point.coords!r} outside grid {grid.dims!r}")
 
@@ -211,6 +213,8 @@ def validate_state(grid: GridSpec, state: PhaseState) -> None:
     if len(state.residues) != grid.p:
         raise ValueError(f"state arity {len(state.residues)} does not match grid arity {grid.p}")
     for u, tm in zip(state.residues, grid.two_m):
+        if type(u) is not int:
+            raise ValueError(f"state residues must be integers, got {state.residues!r}")
         if not 0 <= u < tm:
             raise ValueError(f"state {state.residues!r} outside phase circles of {grid.dims!r}")
 

@@ -28,10 +28,24 @@ bounds them, and no parity-class law.  From :mod:`arithbilliards.core` they
 take only the mixed-radix codec (first coordinate most significant) and
 :func:`core.solve_congruences`, which is the law side of :func:`reach_scan`;
 never the closed-form helpers (``tent_columns``, ``phase_columns``).
-:func:`reach_scan` decides every (source, mask, target) triple by both of
-its methods and memoises nothing across triples; its only per-grid tables
-are the CRT solutions by residue difference (the law side) and the lifts of
-each target.
+
+Shared inputs.  The exhaustive sweeps compute each distinct input once and
+count it once per state or triple that shares it, which keeps them
+exhaustive:
+
+- :func:`least_closure_violations` and :func:`coordinate_sum_violations`
+  tabulate, per coordinate and residue, the block's closure mask
+  (:func:`_closure_mask`) or the period sum (:func:`_period_sum`).  A table
+  entry is a pure function of one coordinate's own residue, built by the
+  same helper the per-state function calls; it uses no CRT, no gcd/lcm law
+  and no orbit or shift structure.  Each state then combines its own ``p``
+  entries.
+- :func:`reach_scan` lifts every (source, mask) pair to its phase state and
+  decides each distinct lift once, against every target, by both methods.
+  Triples with equal source lifts give both sides identical inputs, so each
+  gets the verdict it would get alone.  Its other per-grid tables are the
+  CRT solutions by residue difference (the law side) and the lifts of each
+  target.
 
 All functions take plain dimension lists and return plain ints, lists or
 dicts.  Callers are responsible for validation and budget checks; these
@@ -42,7 +56,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import add, getitem, itemgetter, ne
+from collections import Counter
+from functools import reduce
+from operator import add, and_, getitem, itemgetter, ne
 
 from arithbilliards.core import decode_digits, encode_digits, solve_congruences
 
@@ -111,48 +127,73 @@ def _repeat(column, n: int):
     return (column * -(-n // len(column)))[:n]
 
 
+def _closure_mask(u: int, tm: int, k0: int, n: int) -> int:
+    """Bit mask over the steps ``k0 .. k0+n-1`` (first step most significant)
+    at which a coordinate started at residue ``u`` re-reads both its start
+    position and the position one step before the start.
+
+    Two residues give the same position iff they are equal or mirrored
+    (``u`` and ``2*m - u``).
+    """
+    back = (u - 1) % tm
+    # residues reading the start position, and residues one step after
+    # one reading the position before the start
+    starts = {u, (tm - u) % tm}
+    afters = {(back + 1) % tm, (tm - back + 1) % tm}
+    bits = "".join(["1" if r in starts and r in afters else "0"
+                    for r in _turn(u, tm, k0, n)])
+    return int(_repeat(bits, n), 2)
+
+
+def _least_closures(two_m, states, limit: int) -> dict:
+    """Map each of the distinct ``states`` to its :func:`least_closure`.
+
+    Per block, each coordinate's :func:`_closure_mask` is built once per
+    residue that a still-open state holds there, and each still-open state
+    ANDs its own ``p`` masks; a state closes in the first block where that
+    AND is nonzero.
+    """
+    closures = dict.fromkeys(states)
+    for k0 in range(1, limit + 1, BLOCK):
+        if not states:
+            break
+        n = min(BLOCK, limit + 1 - k0)
+        masks = [{u: _closure_mask(u, tm, k0, n) for u in set(column)}
+                 for tm, column in zip(two_m, zip(*states))]
+        still_open = []
+        for state in states:
+            hits = reduce(and_, map(getitem, masks, state))
+            if hits:
+                closures[state] = k0 + n - hits.bit_length()
+            else:
+                still_open.append(state)
+        states = still_open
+    return closures
+
+
 def least_closure(two_m, residues, limit: int) -> int | None:
     """Least ``k`` in ``[1, limit]`` at which the trajectory from ``residues``
     re-reads both its start position and the position one step before the
     start (position equality, not state equality); None if there is none.
 
-    Two residues give the same position iff they are equal or mirrored
-    (``u`` and ``2*m - u``).  Per block, each coordinate contributes a bit
-    mask of the steps at which it matches (first step most significant), and
-    the AND of the masks marks the steps at which all of them do.
+    Per block, each coordinate contributes the bit mask of the steps at which
+    it matches (:func:`_closure_mask`), and the AND of the masks marks the
+    steps at which all of them do.
     """
-    coords = []
-    for u, tm in zip(residues, two_m):
-        back = (u - 1) % tm
-        # residues reading the start position, and residues one step after
-        # one reading the position before the start
-        coords.append((u, tm, {u, (tm - u) % tm}, {(back + 1) % tm, (tm - back + 1) % tm}))
-    for k0 in range(1, limit + 1, BLOCK):
-        n = min(BLOCK, limit + 1 - k0)
-        hits = -1
-        for u, tm, starts, afters in coords:
-            bits = "".join(["1" if r in starts and r in afters else "0"
-                            for r in _turn(u, tm, k0, n)])
-            hits &= int(_repeat(bits, n), 2)
-            if not hits:
-                break
-        if hits:
-            return k0 + n - hits.bit_length()
-    return None
+    residues = tuple(residues)
+    return _least_closures(two_m, [residues], limit)[residues]
 
 
 def least_closure_violations(dims) -> int:
     """Count states whose :func:`least_closure` differs from 2*lcm(dims).
 
     Expected result is 0: the least full-closure step is always one period.
+    Every state is walked in the same block loop as :func:`least_closure`.
     """
     two_m = [2 * m for m in dims]
     period = math.lcm(*two_m)
-    bad = 0
-    for base in itertools.product(*[range(tm) for tm in two_m]):
-        if least_closure(two_m, base, period) != period:
-            bad += 1
-    return bad
+    states = list(itertools.product(*[range(tm) for tm in two_m]))
+    return sum(k != period for k in _least_closures(two_m, states, period).values())
 
 
 def first_visits(dims, residues, start: int, n: int) -> dict[int, int]:
@@ -191,7 +232,8 @@ def reach_scan(dims) -> tuple[int, int]:
     reachability twice: by merging per-coordinate congruences, and by walking
     the full 2*lcm period and recording first visits (:func:`first_visits`).
     Answers must agree on reachability, least witness, and the sign choice of
-    the target lift.
+    the target lift.  Triples whose (source, mask) pairs lift to the same
+    phase state are decided once and counted once each.
 
     Both sides write an answer as ``k * 2**p + signs``, and "unreachable" as
     one value above every answer either side can give.  The law side takes,
@@ -242,54 +284,61 @@ def reach_scan(dims) -> tuple[int, int]:
     lift_signs = [sig for group in groups for _, lifted in group for sig in lifted.values()]
     span = max(lift_index) + 1
 
+    # Every (source, mask) pair lifted to its phase state; a source coordinate
+    # on a wall lifts alike under both signs, so pairs share lifts and each
+    # distinct lift is decided once and counted once per pair giving it.
+    shared = Counter(
+        tuple(x if not (maskbits >> (p - 1 - i)) & 1 else (tm - x) % tm
+              for i, (x, tm) in enumerate(zip(src, two_m)))
+        for src in points for maskbits in range(n_signs)
+    )
     checked = 0
     mismatch = 0
-    for src in points:
-        for maskbits in range(n_signs):
-            u = [
-                x if not (maskbits >> (p - 1 - i)) & 1 else (two_m[i] - x) % two_m[i]
-                for i, x in enumerate(src)
-            ]
-            offset = sum((tm - ui) * stride for ui, tm, stride in zip(u, two_m, pad_strides))
-            answers = map(add, lifts(pad[offset:offset + span]), lift_signs)
-            law = []
-            for size, count in runs:
-                run = itertools.islice(answers, size * count)
-                law += run if size == 1 else map(min, *[run] * size)
-            seen = first_visits(dims, u, 0, period)
-            oracle = map(seen.get, targets, itertools.repeat(unreachable))
-            verdicts = list(map(ne, law, oracle))
-            mismatch += sum(verdicts)
-            checked += len(verdicts)
+    for u, times in shared.items():
+        offset = sum((tm - ui) * stride for ui, tm, stride in zip(u, two_m, pad_strides))
+        answers = map(add, lifts(pad[offset:offset + span]), lift_signs)
+        law = []
+        for size, count in runs:
+            run = itertools.islice(answers, size * count)
+            law += run if size == 1 else map(min, *[run] * size)
+        seen = first_visits(dims, u, 0, period)
+        oracle = map(seen.get, targets, itertools.repeat(unreachable))
+        verdicts = list(map(ne, law, oracle))
+        mismatch += times * sum(verdicts)
+        checked += times * len(verdicts)
     return checked, mismatch
+
+
+def _period_sum(u: int, m: int, period: int) -> int:
+    """Sum of the positions ``m - |m - r|`` one coordinate visits over
+    ``period`` steps from residue ``u``."""
+    total = 0
+    for k0 in range(0, period, BLOCK):
+        n = min(BLOCK, period - k0)
+        total += sum(_repeat([m - abs(m - r) for r in _turn(u, 2 * m, k0, n)], n))
+    return total
 
 
 def period_sums(dims, residues) -> list[int]:
     """Per-coordinate sums of the positions visited over one full period
     ``2*lcm(dims)`` from the phase state ``residues``."""
     period = math.lcm(*[2 * m for m in dims])
-    sums = []
-    for u, m in zip(residues, dims):
-        total = 0
-        for k0 in range(0, period, BLOCK):
-            n = min(BLOCK, period - k0)
-            total += sum(_repeat([m - abs(m - r) for r in _turn(u, 2 * m, k0, n)], n))
-        sums.append(total)
-    return sums
+    return [_period_sum(u, m, period) for u, m in zip(residues, dims)]
 
 
 def coordinate_sum_violations(dims) -> int:
     """Count start states whose :func:`period_sums` differ from
-    ``m_i * lcm(dims)``.  Expected 0."""
+    ``m_i * lcm(dims)``.  Expected 0.
+
+    Coordinate ``i``'s sum depends only on its own residue, so it is taken
+    once per residue (:func:`_period_sum`); every state is then checked on
+    its own ``p`` sums.
+    """
     dims = list(dims)
-    two_m = [2 * m for m in dims]
-    half_period = math.lcm(*two_m) // 2
-    expect = [m * half_period for m in dims]
-    bad = 0
-    for base in itertools.product(*[range(tm) for tm in two_m]):
-        if period_sums(dims, base) != expect:
-            bad += 1
-    return bad
+    period = math.lcm(*[2 * m for m in dims])
+    expect = tuple(m * period // 2 for m in dims)
+    sums = [[_period_sum(u, m, period) for u in range(2 * m)] for m in dims]
+    return sum(map(ne, itertools.product(*sums), itertools.repeat(expect)))
 
 
 def bfs_from(dims, seed: int, parent: list[int]) -> list[int]:

@@ -13,6 +13,7 @@ from arithbilliards.billiards import (
     PathKind,
     Trajectory,
     step_length,
+    validate_path,
 )
 from arithbilliards.core import (
     Frozen,
@@ -20,7 +21,6 @@ from arithbilliards.core import (
     check_budget,
     solve_congruences,
     tent_columns,
-    validate_state,
 )
 
 GRID_STROKE_WIDTH = 1
@@ -60,7 +60,9 @@ class RenderOptions(Frozen):
 
 
 def _path_steps(grid: GridSpec, path: Path) -> int:
-    """Steps drawn for ``path``: a full period if closed, half if open."""
+    """Steps drawn for ``path``, a path of ``grid``: a full period if closed,
+    half if open."""
+    validate_path(grid, path)
     k = step_length(grid)
     return k if path.kind is PathKind.CLOSED else k // 2
 
@@ -73,7 +75,7 @@ def _path_columns(grid: GridSpec, path: Path) -> list[list[int]]:
     ``u_i + k = 0 (mod m_i)`` for every ``i``, and draw half a period, giving
     the vertex-to-vertex beam without retracing.
     """
-    validate_state(grid, path.representative)
+    steps = _path_steps(grid, path)
     residues = path.representative.residues
     if path.kind is PathKind.OPEN:
         to_vertex = solve_congruences([(-u) % m for u, m in zip(residues, grid.dims)],
@@ -81,7 +83,7 @@ def _path_columns(grid: GridSpec, path: Path) -> list[list[int]]:
         if to_vertex is None:
             raise ArithmeticError("open path orbit never reaches a grid vertex")
         residues = [u + to_vertex for u in residues]
-    return tent_columns(grid, residues, _path_steps(grid, path) + 1)
+    return tent_columns(grid, residues, steps + 1)
 
 
 def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str:

@@ -17,6 +17,8 @@ from arithbilliards.billiards import (
     enumerate_paths_exhaustive,
     first_closure,
     geometric_length,
+    light_reachable,
+    light_reachable_oracle,
     simulate,
     step_length,
 )
@@ -275,6 +277,46 @@ class TestBoundaryHits:
         g = GridSpec((1, 1))
         for path in enumerate_paths(g):
             assert boundary_hits(g, path) == 2
+
+    @pytest.mark.parametrize("dims,path_dims", [((6, 4), (6, 4, 2)), ((3, 3), (6, 4)),
+                                                ((6, 4), (3, 3, 3))])
+    def test_rejects_a_path_of_another_grid(self, dims, path_dims):
+        for path in enumerate_paths(GridSpec(path_dims)):
+            with pytest.raises(ValueError):
+                boundary_hits(GridSpec(dims), path)
+
+
+class TestNonIntegerCoordinates:
+    """Fractional or boolean coordinates are refused with ValueError by every
+    entry point, instead of a wrong answer or a TypeError."""
+
+    @pytest.mark.parametrize("value", [0.5, 1.5, True])
+    def test_points(self, value):
+        g = GridSpec((6, 4))
+        bad = Point((value, 0))
+        calls = [
+            lambda: simulate(g, bad, ASC2, 3),
+            lambda: light_reachable(g, bad, ASC2, Point((3, 4))),
+            lambda: light_reachable(g, Point((0, 0)), ASC2, bad),
+            lambda: light_reachable_oracle(g, Point((0, 0)), ASC2, bad),
+            lambda: light_reachable_oracle(g, bad, ASC2, Point((3, 4))),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="integers"):
+                call()
+
+    @pytest.mark.parametrize("value", [0.5, 1.5, True])
+    def test_states(self, value):
+        g = GridSpec((6, 4))
+        bad = PhaseState((value, 0))
+        calls = [
+            lambda: first_closure(g, bad, 24),
+            lambda: classify_path(g, bad),
+            lambda: coordinate_sums(g, bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="integers"):
+                call()
 
 
 class TestCoordinateSums:

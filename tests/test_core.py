@@ -116,6 +116,22 @@ class TestProject:
             project(GridSpec((2, 2)), PhaseState((4, 0)))
 
 
+class TestNonIntegerCoordinates:
+    """A fractional, boolean or string coordinate is refused, not answered."""
+
+    @pytest.mark.parametrize("value", [0.5, 1.5, 0.0, True, "1"])
+    def test_point(self, value):
+        with pytest.raises(ValueError, match="integers"):
+            lift(GridSpec((6, 4)), Point((value, 0)), ASC2)
+
+    @pytest.mark.parametrize("value", [0.5, 1.5, 0.0, True, "1"])
+    def test_state(self, value):
+        g = GridSpec((6, 4))
+        for fn in (project, step, step_back, reverse):
+            with pytest.raises(ValueError, match="integers"):
+                fn(g, PhaseState((0, value)))
+
+
 class TestLift:
     def test_ascending_is_identity_embedding(self):
         g = GridSpec((5, 5))

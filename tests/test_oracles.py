@@ -55,6 +55,12 @@ class TestPlantedFault:
         ((6, 4), (4900, 264)),
         ((3, 3, 3), (32768, 504)),
         ((2, 5), (1296, 100)),
+        # a side of 1 puts every source coordinate there on a wall, so the
+        # masks of a source share lifts; with all sides 1 every lift is shared
+        # by all 2**p masks, and each triple is still counted once
+        ((1, 6), (784, 56)),
+        ((1, 5, 2), (10368, 400)),
+        ((1, 1, 1), (8**2 * 2**3, 0)),
     ])
     def test_reach_scan_counts_mismatches(self, monkeypatch, dims, expected):
         solve = kernels.solve_congruences
@@ -65,6 +71,46 @@ class TestPlantedFault:
 
         monkeypatch.setattr(kernels, "solve_congruences", faulty)
         assert kernels.reach_scan(list(dims)) == expected
+
+
+class TestPlantedFaultInTables:
+    """A fault in the per-coordinate helper that a sweep tabulates once per
+    residue, and that its per-state function calls directly, is counted by
+    the sweep exactly as per-state calls count it.  (256, 3) walks two
+    blocks, and the fault closes some states in the first."""
+
+    GRIDS = [(3, 2), (4, 3), (2, 2, 3), (3, 1, 2), (256, 3)]
+
+    @pytest.mark.parametrize("dims", GRIDS)
+    def test_least_closure_violations(self, monkeypatch, dims):
+        closure_mask = kernels._closure_mask
+
+        def faulty(u, tm, k0, n):
+            # a false match at the first step of every block, on residues 1 mod 3
+            mask = closure_mask(u, tm, k0, n)
+            return mask | 1 << (n - 1) if u % 3 == 1 else mask
+
+        monkeypatch.setattr(kernels, "_closure_mask", faulty)
+        two_m = [2 * m for m in dims]
+        period = math.lcm(*two_m)
+        expected = sum(kernels.least_closure(two_m, u, period) != period
+                       for u in all_states(two_m))
+        assert 0 < expected < math.prod(two_m)
+        assert kernels.least_closure_violations(list(dims)) == expected
+
+    @pytest.mark.parametrize("dims", GRIDS)
+    def test_coordinate_sum_violations(self, monkeypatch, dims):
+        period_sum = kernels._period_sum
+
+        def faulty(u, m, period):
+            return period_sum(u, m, period) + (u % 4 == 3)
+
+        monkeypatch.setattr(kernels, "_period_sum", faulty)
+        expect = [m * math.lcm(*dims) for m in dims]
+        expected = sum(kernels.period_sums(list(dims), u) != expect
+                       for u in all_states([2 * m for m in dims]))
+        assert 0 < expected < math.prod(2 * m for m in dims)
+        assert kernels.coordinate_sum_violations(list(dims)) == expected
 
 
 @pytest.mark.parametrize("dims", [(3, 2), (4, 3), (3, 2, 2), (2, 5)])

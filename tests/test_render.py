@@ -130,6 +130,11 @@ class TestErrors:
         with pytest.raises(ArithmeticError):
             render_grid(g, [forged])
 
+    @pytest.mark.parametrize("dims,path_dims", [((3, 3), (6, 4)), ((6, 4), (6, 4, 2))])
+    def test_rejects_paths_of_another_grid(self, dims, path_dims):
+        with pytest.raises(ValueError):
+            render_grid(GridSpec(dims), enumerate_paths(GridSpec(path_dims)))
+
     def test_vertex_budget(self):
         # two open paths of about 10**12 vertices each, refused before drawing
         g = GridSpec((999983, 999979))

@@ -192,6 +192,15 @@ class TestFindWalk:
                 walk = find_walk(g, src, dst)
                 assert (walk is not None) == same_orbit(src, dst)
 
+    @pytest.mark.parametrize("finder", [find_walk, find_walk_bfs])
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_rejects_non_integer_points(self, finder, value):
+        g = GridSpec((6, 4))
+        with pytest.raises(ValueError, match="integers"):
+            finder(g, Point((value, 0)), Point((3, 3)))
+        with pytest.raises(ValueError, match="integers"):
+            finder(g, Point((0, 0)), Point((value, 2)))
+
     def test_budget(self):
         # the BFS oracle is bounded by the grid's point count, checked before
         # its parent list of 4001**2 entries is allocated
