@@ -44,6 +44,7 @@ _LAZY = {
         "first_closure",
         "geometric_length",
         "light_reachable",
+        "light_reachable_any",
         "light_reachable_oracle",
         "simulate",
         "step_length",

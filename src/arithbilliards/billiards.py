@@ -20,6 +20,7 @@ from arithbilliards.core import (
     GridSpec,
     PhaseState,
     Point,
+    _merge_congruence,
     check_budget,
     decode_state,
     encode_point,
@@ -67,6 +68,9 @@ class Trajectory(Frozen):
 
 
 class ReachAnswer(Frozen):
+    """Whether a trajectory reaches a target, the least step ``k`` it does, and in
+    ``sign_choice`` the target-lift signs (1 = ``-x_i mod 2*m_i``) met at step ``k``."""
+
     __slots__ = ("reachable", "witness_steps", "sign_choice")
 
     def __init__(self, reachable: bool, witness_steps: int | None,
@@ -260,8 +264,34 @@ def coordinate_sums(grid: GridSpec, start: PhaseState) -> tuple[int, ...]:
     return tuple(kernels.period_sums(grid.dims, start.residues))
 
 
-def _sign_tuples(p: int):
-    return itertools.product((0, 1), repeat=p)
+def _least_reach(grid: GridSpec, source: Point, target: Point, source_signs) -> ReachAnswer:
+    """Least ``(k, mask, signs)`` with ``k = v_i - u_i (mod 2*m_i)``, source signs from
+    ``source_signs[i]``, merged coordinate by coordinate: each residue mod the running lcm
+    keeps its least key ``mask prefix * 2**p + sign prefix``; the last coordinate keeps only
+    the least ``(k, key)``.  Budgeted before the first merge."""
+    offers = [[(((-t if s else t) - (-x if a else x)) % tm, (a << grid.p) + s)
+               for a in lifts for s in (0, 1)]
+              for x, t, tm, lifts in zip(source.coords, target.coords, grid.two_m, source_signs)]
+    lcms = list(itertools.accumulate(grid.two_m, math.lcm, initial=1))
+    c = len(offers[0])  # offers per coordinate
+    check_budget(sum(min(c ** i, lcm) * c for i, lcm in enumerate(lcms[:-1])),
+                 "congruence merges")
+    live = {0: 0}
+    stages = list(zip(lcms, grid.two_m, offers))
+    for lcm, tm, offer in stages[:-1]:
+        merged = {}
+        for r, prefix in live.items():
+            for v, bits in offer:
+                if (hit := _merge_congruence(r, lcm, v, tm)) is not None:
+                    key = 2 * prefix + bits
+                    merged[hit[0]] = min(merged.get(hit[0], key), key)
+        live = merged
+    lcm, tm, offer = stages[-1]
+    k, key = min(((hit[0], 2 * prefix + bits) for r, prefix in live.items() for v, bits in offer
+                  if (hit := _merge_congruence(r, lcm, v, tm)) is not None), default=(None, 0))
+    if k is None:
+        return ReachAnswer(False, None, None)
+    return ReachAnswer(True, k, tuple(key >> i & 1 for i in reversed(range(grid.p))))
 
 
 def light_reachable(grid: GridSpec, source: Point, mask: DirectionMask,
@@ -272,30 +302,20 @@ def light_reachable(grid: GridSpec, source: Point, mask: DirectionMask,
     The trajectory reaches ``target`` at step ``k`` iff ``u_i + k`` lands on
     one of the (at most two) phase lifts of each target coordinate, i.e. the
     system ``k = v_i - u_i (mod 2*m_i)`` is solvable for some choice of lift
-    signs.  All ``2**p`` sign choices are tried in lexicographic order and
-    the least witness wins (ties keep the lexicographically first signs).
-    The budget bounds the ``2**p`` congruence systems.
+    signs.  The least witness wins, then the lexicographically first signs.
     """
     validate_point(grid, source)
     validate_point(grid, target)
     validate_mask(grid, mask)
-    check_budget(2 ** grid.p, "congruence systems")
-    two_m = grid.two_m
-    u = lift(grid, source, mask).residues
-    best: int | None = None
-    best_signs: tuple[int, ...] | None = None
-    for signs in _sign_tuples(grid.p):
-        residues = [
-            ((t if s == 0 else (tm - t) % tm) - ui) % tm
-            for t, s, ui, tm in zip(target.coords, signs, u, two_m)
-        ]
-        k = solve_congruences(residues, two_m)
-        if k is not None and (best is None or k < best):
-            best = k
-            best_signs = signs
-    if best is None:
-        return ReachAnswer(False, None, None)
-    return ReachAnswer(True, best, best_signs)
+    return _least_reach(grid, source, target, [(a,) for a in mask.signs])
+
+
+def light_reachable_any(grid: GridSpec, source: Point, target: Point) -> ReachAnswer:
+    """:func:`light_reachable` for the first mask, in lexicographic order,
+    whose trajectory reaches ``target`` in the fewest steps."""
+    validate_point(grid, source)
+    validate_point(grid, target)
+    return _least_reach(grid, source, target, [(0, 1)] * grid.p)
 
 
 def light_reachable_oracle(grid: GridSpec, source: Point, mask: DirectionMask,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from arithbilliards import billiards, circseq, cli, render, walks
+from arithbilliards import billiards, circseq, cli, core, render, walks
 from arithbilliards.core import DEFAULT_STATE_BUDGET
 
 
@@ -152,69 +152,89 @@ class TestReach:
         assert doc["payload"]["oracle_checked"] is True
         assert doc["payload"]["oracle_agrees"] is True
 
-    def test_verify_answers_each_mask_once(self, capsys, monkeypatch):
-        # one fast answer and one oracle answer per mask: 2**2 masks
+    def test_verify_walks_each_mask_once(self, capsys, monkeypatch):
+        # one answer from the merge, and one oracle walk per mask: 2**2 masks
         calls = []
-        fast = billiards.light_reachable
+        walk = billiards.light_reachable_oracle
 
         def counted(*args):
             calls.append(args)
-            return fast(*args)
+            return walk(*args)
 
-        monkeypatch.setattr(billiards, "light_reachable", counted)
+        monkeypatch.setattr(billiards, "light_reachable_oracle", counted)
         code, doc = run(
             capsys, "reach", "--dims", "6,4", "--from", "0,3", "--to", "3,4",
             "--verify", "--any-direction",
         )
         assert code == 0
         assert doc["payload"]["oracle_agrees"] is True
-        assert len(calls) == 4
+        assert len(calls) == 2 ** 2
 
-    def test_any_direction_budget(self, capsys, monkeypatch):
-        # 4**12 congruence solves exceed the budget: refused before any is run
-        def never(*args):
-            raise AssertionError("light_reachable ran past the budget check")
+    def test_verify_compares_the_printed_answer(self, capsys, monkeypatch):
+        # the oracle's first least witness over all masks is checked, not each
+        # mask's answer: from 0,3 masks ++ and -+ both reach 3,4 in 9 steps
+        argv = ["reach", "--dims", "6,4", "--from", "0,3", "--to", "3,4",
+                "--verify", "--any-direction"]
+        walk = billiards.light_reachable_oracle
 
-        monkeypatch.setattr(billiards, "light_reachable", never)
-        code, doc = run(
-            capsys, "reach", "--dims", ",".join(["1"] * 12), "--from", ",".join(["0"] * 12),
-            "--to", ",".join(["1"] * 12), "--any-direction",
-        )
-        assert 4 ** 12 > DEFAULT_STATE_BUDGET
-        assert code == cli.EXIT_BUDGET == 3
-        assert doc["error"]["type"] == "BudgetExceededError"
+        def without_first_mask(grid, source, mask, target):
+            if mask.signs == (0, 0):
+                return billiards.ReachAnswer(False, None, None)
+            return walk(grid, source, mask, target)
 
-    def test_sign_choices_budget(self, capsys, monkeypatch):
-        # one mask at p = 24 needs 2**24 congruence systems: refused before any
-        # is solved
-        def never(residues, moduli):
-            raise AssertionError("a congruence system was solved past the budget check")
-
-        monkeypatch.setattr(billiards, "solve_congruences", never)
-        code, doc = run(
-            capsys, "reach", "--dims", ",".join(["1"] * 24), "--from", ",".join(["0"] * 24),
-            "--to", ",".join(["1"] * 24),
-        )
-        assert 2 ** 24 > DEFAULT_STATE_BUDGET
-        assert code == cli.EXIT_BUDGET == 3
-        assert doc["error"]["type"] == "BudgetExceededError"
-
-    def test_any_direction_within_budget(self, capsys, monkeypatch):
-        # 4**11 solves fit: every one of the 2**11 masks is asked
-        calls = []
-
-        def unreachable(*args):
-            calls.append(args)
-            return billiards.ReachAnswer(False, None, None)
-
-        monkeypatch.setattr(billiards, "light_reachable", unreachable)
-        code, doc = run(
-            capsys, "reach", "--dims", ",".join(["1"] * 11), "--from", ",".join(["0"] * 11),
-            "--to", ",".join(["1"] * 11), "--any-direction",
-        )
-        assert 4 ** 11 <= DEFAULT_STATE_BUDGET
+        monkeypatch.setattr(billiards, "light_reachable_oracle", without_first_mask)
+        code, doc = run(capsys, *argv)
         assert code == 0
-        assert len(calls) == 2 ** 11
+        assert doc["payload"]["oracle_agrees"] is True
+
+        def one_step_late(*args):
+            ans = walk(*args)
+            return billiards.ReachAnswer(True, ans.witness_steps + 1, ans.sign_choice)
+
+        monkeypatch.setattr(billiards, "light_reachable_oracle", one_step_late)
+        code, doc = run(capsys, *argv)
+        assert code == cli.EXIT_INCONSISTENT == 1
+        assert doc["payload"]["oracle_agrees"] is False
+
+    def test_verify_budget(self, capsys, monkeypatch):
+        # 4 masks times the period 24 of 6x4 are charged before the first walk
+        argv = ["reach", "--dims", "6,4", "--from", "0,3", "--to", "3,4",
+                "--verify", "--any-direction"]
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 4 * 24)
+        assert run(capsys, *argv)[0] == 0
+
+        def never(*args):
+            raise AssertionError("the oracle walked past the budget check")
+
+        monkeypatch.setattr(billiards, "light_reachable_oracle", never)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 4 * 24 - 1)
+        code, doc = run(capsys, *argv)
+        assert code == cli.EXIT_BUDGET == 3
+        assert doc["error"]["type"] == "BudgetExceededError"
+
+    @pytest.mark.parametrize("direction", [[], ["--any-direction"]],
+                             ids=["one-mask", "any-direction"])
+    def test_merge_budget(self, capsys, monkeypatch, direction):
+        # refused before the first congruence merge, with or without a mask
+        def never(*args):
+            raise AssertionError("a congruence was merged past the budget check")
+
+        monkeypatch.setattr(billiards, "_merge_congruence", never)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 3)
+        code, doc = run(capsys, "reach", "--dims", "6,4", "--from", "0,3", "--to", "3,4",
+                        *direction)
+        assert code == cli.EXIT_BUDGET == 3
+        assert doc["error"]["type"] == "BudgetExceededError"
+
+    @pytest.mark.parametrize("direction", [[], ["--any-direction"]],
+                             ids=["one-mask", "any-direction"])
+    def test_all_ones_grid_of_arity_62(self, capsys, direction):
+        code, doc = run(
+            capsys, "reach", "--dims", ",".join(["1"] * 62), "--from", ",".join(["0"] * 62),
+            "--to", ",".join(["1"] * 62), *direction,
+        )
+        assert code == 0
+        assert doc["payload"]["witness_steps"] == 1
 
     def test_all_backward_mask(self, capsys):
         code, doc = run(
@@ -366,6 +386,17 @@ class TestUsageErrors:
         assert doc["error"]["type"] == "UsageError"
         assert doc["error"]["message"]
         assert "payload" not in doc
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dims", "6,4", "--start", "2,2", "--steps", "3", "--mask=+-+"],
+        ["reach", "--dims", "6,4", "--from", "0,2", "--to", "3,4", "--mask=+", "--verify"],
+    ])
+    def test_wrong_arity_mask(self, capsys, argv):
+        # the library's mask check, not the parser, refuses it
+        code, doc = run(capsys, *argv)
+        assert code == cli.EXIT_BAD_INPUT == 2
+        assert doc["error"]["type"] == "ValueError"
+        assert "mask arity" in doc["error"]["message"]
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,12 +1,15 @@
 """Congruence-based reachability versus the full-period iteration oracle."""
 
 import itertools
+import random
 
 import pytest
 
 from arithbilliards import billiards, core
 from arithbilliards.billiards import (
+    ReachAnswer,
     light_reachable,
+    light_reachable_any,
     light_reachable_oracle,
     simulate,
     solve_congruences,
@@ -17,6 +20,7 @@ from arithbilliards.core import (
     DirectionMask,
     GridSpec,
     Point,
+    lift,
 )
 
 ASC2 = DirectionMask.ascending(2)
@@ -31,6 +35,25 @@ def all_points(grid):
 
 def all_masks(p):
     return [DirectionMask(signs) for signs in itertools.product((0, 1), repeat=p)]
+
+
+def sign_loop(grid, source, mask, target):
+    """Reference for :func:`light_reachable`: one CRT system per choice of
+    target-lift signs, all ``2**p`` in lexicographic order, least witness first."""
+    u = lift(grid, source, mask).residues
+    best = ReachAnswer(False, None, None)
+    for signs in itertools.product((0, 1), repeat=grid.p):
+        residues = [((t if s == 0 else (tm - t) % tm) - ui) % tm
+                    for t, s, ui, tm in zip(target.coords, signs, u, grid.two_m)]
+        k = solve_congruences(residues, grid.two_m)
+        if k is not None and (best.witness_steps is None or k < best.witness_steps):
+            best = ReachAnswer(True, k, signs)
+    return best
+
+
+def first_least(answers):
+    """The first answer, in mask order, with the least witness."""
+    return min(answers, key=lambda a: (not a.reachable, a.witness_steps or 0))
 
 
 class TestKnownCases:
@@ -101,23 +124,63 @@ class TestOracleEquivalence:
         # the congruence route has no such limit
         assert light_reachable(g, Point((0, 0)), ASC2, Point((1, 1))).reachable
 
-    def test_sign_choices_budget(self, monkeypatch):
-        # the 2**p lift-sign systems are charged before the first solve
-        def corners(p):
-            return GridSpec((1,) * p), Point((0,) * p), Point((1,) * p)
+    def test_merge_budget(self, monkeypatch):
+        # (1,)*5 corner to corner: c = 2 offers per coordinate under a mask and
+        # c = 4 under any direction; the first coordinate charges c merges and,
+        # the running lcm being 2 after it, each of the other four 2 * c
+        g, src, dst = GridSpec((1,) * 5), Point((0,) * 5), Point((1,) * 5)
+        asc = DirectionMask.ascending(5)
+        expected = light_reachable(g, src, asc, dst), light_reachable_any(g, src, dst)
+        mask_merges, any_merges = 2 + 4 * 4, 4 + 8 * 4
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", mask_merges)
+        assert light_reachable(g, src, asc, dst) == expected[0]
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", any_merges)
+        assert light_reachable_any(g, src, dst) == expected[1]
 
-        g, src, dst = corners(4)
-        unpatched = light_reachable(g, src, DirectionMask.ascending(4), dst)
-        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 16)
-        assert light_reachable(g, src, DirectionMask.ascending(4), dst) == unpatched
+        def never(*args):
+            raise AssertionError("a congruence was merged past the budget check")
 
-        def never(residues, moduli):
-            raise AssertionError("a congruence system was solved past the budget check")
-
-        monkeypatch.setattr(billiards, "solve_congruences", never)
-        g, src, dst = corners(5)
+        monkeypatch.setattr(billiards, "_merge_congruence", never)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", any_merges - 1)
         with pytest.raises(BudgetExceededError):
-            light_reachable(g, src, DirectionMask.ascending(5), dst)
+            light_reachable_any(g, src, dst)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", mask_merges - 1)
+        with pytest.raises(BudgetExceededError):
+            light_reachable(g, src, asc, dst)
+
+    def test_long_all_ones_grid(self):
+        g, src, dst = GridSpec((1,) * 62), Point((0,) * 62), Point((1,) * 62)
+        expected = ReachAnswer(True, 1, (0,) * 62)
+        assert light_reachable(g, src, DirectionMask.ascending(62), dst) == expected
+        assert light_reachable_any(g, src, dst) == expected
+
+
+class TestSignLoopReference:
+    @pytest.mark.parametrize("dims", [
+        *itertools.product(range(1, 5), repeat=2),
+        *itertools.product(range(1, 3), repeat=3),
+    ])
+    def test_every_triple(self, dims):
+        g = GridSpec(dims)
+        points = all_points(g)
+        masks = all_masks(g.p)
+        for src in points:
+            for dst in points:
+                reference = [sign_loop(g, src, mask, dst) for mask in masks]
+                for mask, expected in zip(masks, reference):
+                    assert light_reachable(g, src, mask, dst) == expected, (dims, src, mask, dst)
+                assert light_reachable_any(g, src, dst) == first_least(reference), (dims, src, dst)
+
+    def test_seeded_sample(self):
+        rng = random.Random(20231)
+        for _ in range(100):
+            g = GridSpec(tuple(rng.randint(1, 12) for _ in range(rng.randint(4, 8))))
+            src, dst = (Point(tuple(rng.randint(0, m) for m in g.dims)) for _ in range(2))
+            mask = DirectionMask(tuple(rng.randint(0, 1) for _ in range(g.p)))
+            assert light_reachable(g, src, mask, dst) == sign_loop(g, src, mask, dst)
+            if g.p == 4:
+                reference = [sign_loop(g, src, m, dst) for m in all_masks(g.p)]
+                assert light_reachable_any(g, src, dst) == first_least(reference)
 
 
 class TestDivisibilityForm:
