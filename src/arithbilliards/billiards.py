@@ -323,9 +323,12 @@ def light_reachable_oracle(grid: GridSpec, source: Point, mask: DirectionMask,
     """Same contract as :func:`light_reachable`, decided by walking the full
     ``2*lcm(dims)`` period.  Kept independent as a cross-check.
 
-    The walk is :func:`kernels.first_visits`, the first-visit walk that
-    :func:`kernels.reach_scan` also runs, taken in blocks of
-    :data:`kernels.BLOCK` steps up to the first block that visits ``target``.
+    The walk is :func:`kernels.first_visit`: in blocks of
+    :data:`kernels.BLOCK` steps it builds the encoded point of every step
+    (the point column that :func:`kernels.reach_scan`'s first-visit walk also
+    reads), finds the first step at ``target`` with ``list.index``, and reads
+    the sign bits of that one step.  It stops after the first block that
+    visits ``target``.
     """
     validate_point(grid, source)
     validate_point(grid, target)
@@ -334,10 +337,8 @@ def light_reachable_oracle(grid: GridSpec, source: Point, mask: DirectionMask,
     check_budget(period, "period steps")
     p = grid.p
     u = lift(grid, source, mask).residues
-    tgt = encode_point(grid, target)
-    for k0 in range(0, period, kernels.BLOCK):
-        code = kernels.first_visits(grid.dims, u, k0, min(kernels.BLOCK, period - k0)).get(tgt)
-        if code is not None:
-            k, signs = divmod(code, 1 << p)
-            return ReachAnswer(True, k, tuple(signs >> (p - 1 - i) & 1 for i in range(p)))
-    return ReachAnswer(False, None, None)
+    code = kernels.first_visit(grid.dims, u, encode_point(grid, target), period)
+    if code is None:
+        return ReachAnswer(False, None, None)
+    k, signs = divmod(code, 1 << p)
+    return ReachAnswer(True, k, tuple(signs >> (p - 1 - i) & 1 for i in range(p)))

@@ -44,17 +44,6 @@ class IntPolynomial(Frozen):
     def coeff(self, n: int) -> int:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(tuple(out))
-
 
 class RationalGF(Frozen):
     """Generating function ``numerator / (1 - x**period)``, ``period`` an ``int``."""

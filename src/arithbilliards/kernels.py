@@ -4,11 +4,14 @@ The library answers from the paper's closed forms; these walks iterate the
 phase dynamics instead and are what the test suite checks those forms
 against.  Each walk exists once: :func:`least_closure` and
 :func:`period_sums` are the bodies of :func:`billiards.first_closure` and
-:func:`billiards.coordinate_sums`, :func:`first_visits` is the reachability
-walk of :func:`reach_scan` and :func:`billiards.light_reachable_oracle`,
-:func:`_mark_orbit` is the orbit walk of :func:`trace_paths` (run for a
-seed and its reversal), and :func:`bfs_from` is the diagonal-move BFS of
-:func:`bfs_components` and :func:`walks.find_walk_bfs`.
+:func:`billiards.coordinate_sums`; :func:`_point_column` is the reachability
+walk, read for every point by :func:`first_visits` (in :func:`reach_scan`)
+and for one target by :func:`first_visit` (in
+:func:`billiards.light_reachable_oracle`); :func:`_mark_orbit` is the orbit
+walk of :func:`trace_paths` (run for a seed and its reversal);
+:func:`bfs_from` is the diagonal-move BFS of :func:`bfs_components` and
+:func:`walks.find_walk_bfs`; and :func:`parity_counts` is the point count of
+:func:`walks.orbit_sizes_bruteforce`.
 
 Column walks.  A trajectory is walked in blocks of at most :data:`BLOCK`
 steps.  Within a block each coordinate is stepped once around its own phase
@@ -16,18 +19,34 @@ circle, over at most ``min(2*m_i, n)`` residues for an ``n``-step block, and
 that column is repeated out to the block.  The joint walk over the block is
 then done by C-level operations instead of one Python step at a time: list
 and string repetition, ``map``/``zip`` (sums of stride-scaled columns give
-encoded states), a dict built in reverse for first visits, and AND of
-integer bit masks for "every coordinate matches at step k".  A column never
-holds more than one block, so a short walk on a grid with a long side costs
-O(steps), not O(m_i).
+encoded states), a dict built in reverse for first visits, ``list.index``
+for the first visit to one target, and AND of integer bit masks for "every
+coordinate matches at step k".  A column never holds more than one block, so
+a short walk on a grid with a long side costs O(steps), not O(m_i).  The
+closure mask of one coordinate marks where its at most two matching residues
+fall in the block, each a run of bits ``2*m_i`` apart.
+
+The per-point tables are tiled the same way (:func:`_tile`): one column per
+coordinate, combined by one ``map`` per column entry with the table of the
+coordinates after it, so the table over all points is built by C-level
+operations in mixed-radix order.  The BFS reads each point's moves from a
+table keyed by its wall class (each coordinate at the low wall, inside or at
+the high wall; at most ``3**p`` classes), built once per grid with each
+entry's offsets in lexicographic sign order, instead of decoding the point
+and combining its moves.  The parity count tiles each point's code in blocks
+of at most :data:`PARITY_BLOCK` points and counts them with ``Counter``.
 
 Independence rules.  Every step up to the limit is examined; the closure
 and reachability walks stop only after the block holding their first hit.
+Every point is examined: the BFS follows every allowed move of every point
+it reaches, and the parity count computes and counts every point's code.
 The walks use no CRT, no gcd/lcm law beyond the period ``2*lcm(dims)`` that
-bounds them, and no parity-class law.  From :mod:`arithbilliards.core` they
-take only the mixed-radix codec (first coordinate most significant) and
-:func:`core.solve_congruences`, which is the law side of :func:`reach_scan`;
-never the closed-form helpers (``tent_columns``, ``phase_columns``).
+bounds them, and no parity-class or orbit law: the move table depends only
+on which coordinates sit at a wall, and the parity codes are counted, not
+sized.  From :mod:`arithbilliards.core` they take only the mixed-radix codec
+(first coordinate most significant) and :func:`core.solve_congruences`,
+which is the law side of :func:`reach_scan`; never the closed-form helpers
+(``tent_columns``, ``phase_columns``).
 
 Shared inputs.  The exhaustive sweeps compute each distinct input once and
 count it once per state or triple that shares it, which keeps them
@@ -44,8 +63,8 @@ exhaustive:
   decides each distinct lift once, against every target, by both methods.
   Triples with equal source lifts give both sides identical inputs, so each
   gets the verdict it would get alone.  Its other per-grid tables are the
-  CRT solutions by residue difference (the law side) and the lifts of each
-  target.
+  CRT solutions by residue difference (the law side), tiled out to every
+  doubled-axis difference, and the lifts of each target.
 
 All functions take plain dimension lists and return plain ints, lists or
 dicts.  Callers are responsible for validation and budget checks; these
@@ -56,14 +75,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import Counter
 from functools import reduce
-from operator import add, and_, getitem, itemgetter, ne
+from operator import add, and_, getitem, itemgetter, ne, xor
 
 from arithbilliards.core import decode_digits, encode_digits, solve_congruences
 
 BACKEND = "python"
 BLOCK = 1024  # steps per block of a column walk
+PARITY_BLOCK = 1 << 14  # points per block of parity codes
 
 
 def trace_paths(two_m) -> list[tuple[int, int]]:
@@ -127,22 +148,42 @@ def _repeat(column, n: int):
     return (column * -(-n // len(column)))[:n]
 
 
+def _tile(columns, op, table):
+    """``op`` folded over one entry of each of ``columns``, for every choice
+    of entries in mixed-radix order (first column most significant), in a
+    container of the type of the one-entry ``table`` it starts from.  Built
+    from the last column out: each entry of a column meets the whole table
+    of the columns after it in one ``map``."""
+    for col in reversed(columns):
+        out = table[:0]
+        out.extend(itertools.chain.from_iterable(map(op, table, itertools.repeat(v)) for v in col))
+        table = out
+    return table
+
+
 def _closure_mask(u: int, tm: int, k0: int, n: int) -> int:
     """Bit mask over the steps ``k0 .. k0+n-1`` (first step most significant)
     at which a coordinate started at residue ``u`` re-reads both its start
     position and the position one step before the start.
 
     Two residues give the same position iff they are equal or mirrored
-    (``u`` and ``2*m - u``).
+    (``u`` and ``2*m - u``), so at most two residues match.  Each one recurs
+    every ``tm`` steps, so its bits are one repunit in base ``2**tm``,
+    shifted to its first step in the block.
     """
     back = (u - 1) % tm
     # residues reading the start position, and residues one step after
     # one reading the position before the start
     starts = {u, (tm - u) % tm}
     afters = {(back + 1) % tm, (tm - back + 1) % tm}
-    bits = "".join(["1" if r in starts and r in afters else "0"
-                    for r in _turn(u, tm, k0, n)])
-    return int(_repeat(bits, n), 2)
+    mask = 0
+    for r in starts & afters:
+        j = (r - u - k0) % tm  # first step of the block at residue r
+        if j < n:
+            count = (n - 1 - j) // tm + 1
+            repunit = ((1 << count * tm) - 1) // ((1 << tm) - 1)
+            mask |= repunit << (n - 1 - j - (count - 1) * tm)
+    return mask
 
 
 def _least_closures(two_m, states, limit: int) -> dict:
@@ -180,8 +221,12 @@ def least_closure(two_m, residues, limit: int) -> int | None:
     it matches (:func:`_closure_mask`), and the AND of the masks marks the
     steps at which all of them do.
     """
-    residues = tuple(residues)
-    return _least_closures(two_m, [residues], limit)[residues]
+    for k0 in range(1, limit + 1, BLOCK):
+        n = min(BLOCK, limit + 1 - k0)
+        hits = reduce(and_, [_closure_mask(u, tm, k0, n) for u, tm in zip(residues, two_m)])
+        if hits:
+            return k0 + n - hits.bit_length()
+    return None
 
 
 def least_closure_violations(dims) -> int:
@@ -196,33 +241,60 @@ def least_closure_violations(dims) -> int:
     return sum(k != period for k in _least_closures(two_m, states, period).values())
 
 
+def _point_column(dims, residues, start: int, n: int) -> list[int]:
+    """Encoded point of each step ``start .. start+n-1`` of the walk from the
+    phase state ``residues``: each coordinate's positions ``m_i - |m_i - r_i|``
+    over one turn, scaled by its stride and repeated out to the block."""
+    points = None
+    stride = 1
+    for i in range(len(dims) - 1, -1, -1):
+        m = dims[i]
+        col = _repeat([(m - abs(m - r)) * stride for r in _turn(residues[i], 2 * m, start, n)], n)
+        points = col if points is None else map(add, points, col)
+        stride *= m + 1
+    return list(points)
+
+
 def first_visits(dims, residues, start: int, n: int) -> dict[int, int]:
     """First visits of the walk over steps ``start .. start+n-1`` from the
     phase state ``residues``.
 
     Maps the index of every point visited to ``k * 2**p + signs``, where
     ``k`` is the least such step and bit ``p-1-i`` of ``signs`` is set when
-    coordinate ``i`` is on its descending branch there (residue not equal to
-    position).  Positions come from the tent projection
-    ``m_i - |m_i - r_i|`` of each residue.
+    coordinate ``i`` is on its descending branch there (residue above
+    ``m_i``, so not equal to the position).
     """
     p = len(dims)
-    points = signs = None
-    stride = 1
-    for i in range(p - 1, -1, -1):
-        m = dims[i]
-        turn = _turn(residues[i], 2 * m, start, n)
-        xs = [m - abs(m - r) for r in turn]
+    signs = None
+    for i, m in enumerate(dims):
         bit = 1 << (p - 1 - i)
-        point_col = _repeat([x * stride for x in xs], n)
-        sign_col = _repeat([0 if x == r else bit for x, r in zip(xs, turn)], n)
-        points = point_col if points is None else map(add, points, point_col)
-        signs = sign_col if signs is None else map(add, signs, sign_col)
-        stride *= m + 1
-    points = list(points)
+        col = _repeat([0 if r <= m else bit for r in _turn(residues[i], 2 * m, start, n)], n)
+        signs = col if signs is None else map(add, signs, col)
+    points = _point_column(dims, residues, start, n)
     codes = list(map(add, range(start << p, (start + n) << p, 1 << p), signs))
     # built in reverse, so the earliest step of each point is written last
     return dict(zip(reversed(points), reversed(codes)))
+
+
+def first_visit(dims, residues, target: int, limit: int) -> int | None:
+    """First visit to the point ``target`` in the steps ``0 .. limit-1`` of
+    the walk from ``residues``, as ``k * 2**p + signs`` like
+    :func:`first_visits`; None if there is none.
+
+    Each block's point column (the one :func:`first_visits` reads) is
+    searched for the target with ``list.index``, and only the step found has
+    its sign bits read.
+    """
+    for k0 in range(0, limit, BLOCK):
+        try:
+            j = _point_column(dims, residues, k0, min(BLOCK, limit - k0)).index(target)
+        except ValueError:
+            continue
+        code = k = k0 + j
+        for u, m in zip(residues, dims):
+            code = 2 * code + ((u + k) % (2 * m) > m)
+        return code
+    return None
 
 
 def reach_scan(dims) -> tuple[int, int]:
@@ -257,11 +329,10 @@ def reach_scan(dims) -> tuple[int, int]:
     # lift v and a source lift u is read at v_i + 2*m_i - u_i, and one slice
     # of this table shifts all lifts by -u at once.
     pad_strides = [math.prod(2 * tm for tm in two_m[i + 1:]) for i in range(p)]
-    pad = [
-        unreachable if k is None else k << p
-        for k in (crt[encode_digits([j % tm for j, tm in zip(js, two_m)], two_m)]
-                  for js in itertools.product(*[range(2 * tm) for tm in two_m]))
-    ]
+    keys = [unreachable if k is None else k << p for k in crt]
+    pad = list(map(keys.__getitem__, _tile(
+        [[j % tm * math.prod(two_m[i + 1:]) for j in range(2 * tm)] for i, tm in enumerate(two_m)],
+        add, [0])))
     # The lifts of each target: the distinct phase states projecting onto it,
     # each with the least sign bits giving it (a coordinate at 0 or m_i has
     # one residue for both signs).  A target with c coordinates off the walls
@@ -341,25 +412,53 @@ def coordinate_sum_violations(dims) -> int:
     return sum(map(ne, itertools.product(*sums), itertools.repeat(expect)))
 
 
-def bfs_from(dims, seed: int, parent: list[int]) -> list[int]:
+def _move_table(dims) -> tuple[array, list[tuple[int, ...]]]:
+    """Per-point wall-class codes and the move offsets of each wall class.
+
+    Each coordinate of a point is at the low wall, inside (only when
+    ``m_i > 1``) or at the high wall.  A point's code numbers its tuple of
+    classes in mixed radix (first coordinate most significant); the codes are
+    kept in a compact ``array`` tiled from one column of classes per
+    coordinate.  The table holds, per code, the index offsets of the moves
+    allowed there in lexicographic sign order (+1 before -1, first coordinate
+    first); it is tiled the same way, so it has at most ``3**p`` entries and
+    at most one per point, and holds at most one offset per move the search
+    examines (``prod(2*m_i)``, which callers charge to the budget).
+    """
+    p = len(dims)
+    strides = [math.prod(m + 1 for m in dims[i + 1:]) for i in range(p)]
+    # per coordinate, the offsets allowed at each of its classes
+    allowed = [[(s,), (-s,)] if m == 1 else [(s,), (s, -s), (-s,)] for m, s in zip(dims, strides)]
+    weights = [math.prod(map(len, allowed[i + 1:])) for i in range(p)]
+    size = weights[0] * len(allowed[0])
+    typecode = "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "Q"
+    codes = _tile([[0] + [w] * (m - 1) + [(len(a) - 1) * w]
+                   for m, w, a in zip(dims, weights, allowed)], add, array(typecode, [0]))
+    shared: dict[int, int] = {}  # one int object per distinct offset
+    table = [(0,)]
+    for opts in reversed(allowed):
+        table = [tuple([shared.setdefault(o, o) for o in [a + b for a in opt for b in tail]])
+                 for opt in opts for tail in table]
+    return codes, table
+
+
+def bfs_from(dims, seed: int, parent: list[int], moves=None) -> list[int]:
     """Breadth-first search over lattice points under unit-cell diagonal moves.
 
     Moves change every coordinate by +-1 and must stay inside the grid; they
     are explored in lexicographic sign order (+1 before -1, first coordinate
-    first).  ``parent`` holds one entry per encoded point, negative for
-    points not yet reached.  The search starts at ``seed`` (``parent[seed]``
-    is set to ``seed``), sets ``parent[nid] = pid`` when it first reaches
-    ``nid`` from ``pid``, and returns the points it reached in visit order.
+    first), read for each point from its wall class in :func:`_move_table`
+    (``moves``, built here when not given).  ``parent`` holds one entry per
+    encoded point, negative for points not yet reached.  The search starts at
+    ``seed`` (``parent[seed]`` is set to ``seed``), sets ``parent[nid] = pid``
+    when it first reaches ``nid`` from ``pid``, and returns the points it
+    reached in visit order.
     """
-    radices = [m + 1 for m in dims]
-    strides = [math.prod(radices[i + 1:]) for i in range(len(dims))]
-    # per coordinate, the index offsets of the moves allowed at each value
-    moves = [[(s,)] + [(s, -s)] * (m - 1) + [(-s,)] for m, s in zip(dims, strides)]
+    codes, table = moves or _move_table(dims)
     parent[seed] = seed
     order = [seed]
     for pid in order:
-        allowed = map(getitem, moves, decode_digits(pid, radices))
-        for offset in map(sum, itertools.product(*allowed)):
+        for offset in table[codes[pid]]:
             nid = pid + offset
             if parent[nid] < 0:
                 parent[nid] = pid
@@ -371,15 +470,46 @@ def bfs_components(dims) -> list[int]:
     """Connected components of lattice points under unit-cell diagonal moves.
 
     Returns a component id per encoded point, ids assigned in first-seen
-    (ascending seed) order, each component found by one :func:`bfs_from`.
+    (ascending seed) order, each component found by one :func:`bfs_from` on
+    one :func:`_move_table` for the grid.
     """
-    n_points = math.prod(m + 1 for m in dims)
+    moves = _move_table(dims)
+    n_points = len(moves[0])
     parent = [-1] * n_points
     comp = [-1] * n_points
     cid = 0
     for seed in range(n_points):
         if parent[seed] < 0:
-            for pid in bfs_from(dims, seed, parent):
+            for pid in bfs_from(dims, seed, parent, moves):
                 comp[pid] = cid
             cid += 1
     return comp
+
+
+def parity_counts(dims) -> Counter:
+    """Count the lattice points of each parity code, point by point.
+
+    Bit ``p-1-i`` of a point's code is ``(x_0 + x_i) mod 2`` for ``i >= 1``.
+    The codes are tiled from one column per coordinate (each value's share of
+    the code; an odd first coordinate flips every bit) and counted in blocks
+    of at most :data:`PARITY_BLOCK` points: the trailing coordinates that fit
+    are tiled once, the next coordinate is taken a run of values at a time,
+    and the leading ones one tuple of values at a time.
+    """
+    p = len(dims)
+    flip = (1 << (p - 1)) - 1
+    cols = [[flip * (x & 1) for x in range(dims[0] + 1)]]
+    cols += [[(x & 1) << (p - 1 - i) for x in range(m + 1)] for i, m in enumerate(dims[1:], 1)]
+    t = p
+    while t and math.prod(map(len, cols[t - 1:])) <= PARITY_BLOCK:
+        t -= 1
+    tail = _tile(cols[t:], xor, [0])
+    col, heads = (cols[t - 1], cols[:t - 1]) if t else ([0], [])
+    run = max(1, PARITY_BLOCK // len(tail))
+    counts = Counter()
+    for head in itertools.product(*heads):
+        base = reduce(xor, head, 0)
+        for j in range(0, len(col), run):
+            counts.update(itertools.chain.from_iterable(
+                map(xor, tail, itertools.repeat(base ^ v)) for v in col[j:j + run]))
+    return counts

@@ -85,19 +85,26 @@ def orbit_partition(grid: GridSpec) -> list[OrbitSummary]:
 
 
 def orbit_sizes_bruteforce(grid: GridSpec) -> dict[tuple[int, ...], int]:
-    """Count points per parity index by enumerating the whole grid."""
+    """Count points per parity index by enumerating the whole grid.
+
+    Every point's index is computed from its own coordinates and counted
+    (:func:`kernels.parity_counts`): the index codes are tiled from one
+    column per coordinate and counted with a ``Counter`` in blocks of
+    bounded size, so memory does not grow with the grid.
+    """
     check_budget(grid.n_points, "lattice points")
-    counts: dict[tuple[int, ...], int] = {}
-    for coords in itertools.product(*[range(m + 1) for m in grid.dims]):
-        first = coords[0]
-        bits = tuple((first + x) % 2 for x in coords[1:])
-        counts[bits] = counts.get(bits, 0) + 1
-    return counts
+    p = grid.p
+    return {tuple(code >> (p - 2 - i) & 1 for i in range(p - 1)): n
+            for code, n in kernels.parity_counts(list(grid.dims)).items()}
 
 
 def bfs_component_ids(grid: GridSpec) -> list[int]:
-    """Component id per encoded lattice point under diagonal moves."""
-    check_budget(grid.n_points, "lattice points")
+    """Component id per encoded lattice point under diagonal moves.
+
+    The budget bounds the moves the search examines, one per point and
+    allowed move: ``prod(2*m_i)``, at least the point count.
+    """
+    check_budget(grid.n_states, "BFS moves")
     return kernels.bfs_components(list(grid.dims))
 
 
@@ -138,13 +145,14 @@ def find_walk_bfs(grid: GridSpec, start: Point, goal: Point) -> list[DirectionMa
     which explores the ``2**p`` move directions in lexicographic order, so
     the returned walk is deterministic, and reads the walk back from its
     parent links, each move's signs from the coordinate differences.  Kept as
-    the oracle for :func:`find_walk`; the budget bounds the grid's point
-    count, checked before anything is allocated.  The walk is replayed through
-    :func:`core.step_directed` before returning.
+    the oracle for :func:`find_walk`; the budget bounds the moves the search
+    may examine, as in :func:`bfs_component_ids`, checked before anything is
+    allocated.  The walk is replayed through :func:`core.step_directed` before
+    returning.
     """
     validate_point(grid, start)
     validate_point(grid, goal)
-    check_budget(grid.n_points, "lattice points")
+    check_budget(grid.n_states, "BFS moves")
     parent = [-1] * grid.n_points
     origin = encode_point(grid, start)
     kernels.bfs_from(grid.dims, origin, parent)

@@ -269,19 +269,26 @@ def test_criterion_10_wave_suite():
     def P(*coeffs):
         return IntPolynomial(tuple(coeffs))
 
-    base = P(1, 1) * P(1, 0, 1)
+    def product(*factors):
+        out = [1]
+        for f in factors:
+            out = [sum(out[i] * f.coeff(n - i) for i in range(len(out)))
+                   for n in range(len(out) + len(f.coeffs) - 1)]
+        return IntPolynomial(tuple(out))
+
+    base = (P(1, 1), P(1, 0, 1))
     x = P(0, 1)
     ten = {
-        ("+", 0): x * base * base,
-        ("+", 1): base * base,
-        ("+", 2): base * P(2, 1, 1, -1, 1),
-        ("+", 3): base * P(3, 1, -1, -1, 2),
-        ("+", 4): base * P(4, -1, -1, -1, 3),
-        ("-", 0): x * base * base,
-        ("-", 1): base * P(1, -1, 1, 1, 2),
-        ("-", 2): base * P(2, -1, -1, 1, 3),
-        ("-", 3): base * P(3, -1, -1, -1, 4),
-        ("-", 4): base * P(4, -1, -1, -1, 3),
+        ("+", 0): product(x, *base, *base),
+        ("+", 1): product(*base, *base),
+        ("+", 2): product(*base, P(2, 1, 1, -1, 1)),
+        ("+", 3): product(*base, P(3, 1, -1, -1, 2)),
+        ("+", 4): product(*base, P(4, -1, -1, -1, 3)),
+        ("-", 0): product(x, *base, *base),
+        ("-", 1): product(*base, P(1, -1, 1, 1, 2)),
+        ("-", 2): product(*base, P(2, -1, -1, 1, 3)),
+        ("-", 3): product(*base, P(3, -1, -1, -1, 4)),
+        ("-", 4): product(*base, P(4, -1, -1, -1, 3)),
     }
     for (sign, t), expected in ten.items():
         ok = ok and numerator_poly(SeqSpec(sign, t, 4)) == expected

@@ -29,6 +29,15 @@ def P(*coeffs):
     return IntPolynomial(tuple(coeffs))
 
 
+def product(*factors):
+    """The product of the polynomials ``factors``, by coefficient convolution."""
+    out = [1]
+    for f in factors:
+        out = [sum(out[i] * f.coeff(n - i) for i in range(len(out)))
+               for n in range(len(out) + len(f.coeffs) - 1)]
+    return IntPolynomial(tuple(out))
+
+
 def seq_values(spec, count):
     return [circ_seq(spec, n) for n in range(count)]
 
@@ -127,21 +136,21 @@ class TestClosedForm:
 
 class TestNumeratorPoly:
     def test_factored_forms_height4(self):
-        base = P(1, 1) * P(1, 0, 1)  # (x+1)(x^2+1)
+        base = (P(1, 1), P(1, 0, 1))  # (x+1)(x^2+1)
         x = P(0, 1)
         expected_plus = {
-            0: x * base * base,
-            1: base * base,
-            2: base * P(2, 1, 1, -1, 1),
-            3: base * P(3, 1, -1, -1, 2),
-            4: base * P(4, -1, -1, -1, 3),
+            0: product(x, *base, *base),
+            1: product(*base, *base),
+            2: product(*base, P(2, 1, 1, -1, 1)),
+            3: product(*base, P(3, 1, -1, -1, 2)),
+            4: product(*base, P(4, -1, -1, -1, 3)),
         }
         expected_minus = {
-            0: x * base * base,
-            1: base * P(1, -1, 1, 1, 2),
-            2: base * P(2, -1, -1, 1, 3),
-            3: base * P(3, -1, -1, -1, 4),
-            4: base * P(4, -1, -1, -1, 3),
+            0: product(x, *base, *base),
+            1: product(*base, P(1, -1, 1, 1, 2)),
+            2: product(*base, P(2, -1, -1, 1, 3)),
+            3: product(*base, P(3, -1, -1, -1, 4)),
+            4: product(*base, P(4, -1, -1, -1, 3)),
         }
         for t, want in expected_plus.items():
             assert numerator_poly(SeqSpec("+", t, 4)) == want

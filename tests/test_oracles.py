@@ -1,5 +1,6 @@
 """The exhaustive oracles themselves: sensitivity to a planted fault, agreement
-with minimal step-by-step reference loops, and memory on long grids."""
+with minimal step-by-step and point-by-point reference loops, and memory on
+long grids."""
 
 import itertools
 import math
@@ -14,7 +15,8 @@ from arithbilliards.billiards import (
     light_reachable,
     light_reachable_oracle,
 )
-from arithbilliards.core import DirectionMask, GridSpec, PhaseState, Point
+from arithbilliards.core import DirectionMask, GridSpec, PhaseState, Point, lift
+from arithbilliards.walks import bfs_component_ids, find_walk_bfs, orbit_sizes_bruteforce
 
 
 def all_states(two_m):
@@ -45,6 +47,73 @@ def reference_sums(dims, residues):
         for i, (u, m) in enumerate(zip(residues, dims)):
             sums[i] += m - abs(m - (u + k) % (2 * m))
     return sums
+
+
+def reference_bfs(dims, seed, parent):
+    """Breadth-first search that decodes each visited point and combines its
+    allowed +-1 moves per coordinate in lexicographic sign order."""
+    radices = [m + 1 for m in dims]
+    strides = [math.prod(radices[i + 1:]) for i in range(len(dims))]
+    parent[seed] = seed
+    order = [seed]
+    for pid in order:
+        allowed = [[s for s, ok in ((stride, x < m), (-stride, x > 0)) if ok]
+                   for x, m, stride in zip(core.decode_digits(pid, radices), dims, strides)]
+        for offsets in itertools.product(*allowed):
+            nid = pid + sum(offsets)
+            if parent[nid] < 0:
+                parent[nid] = pid
+                order.append(nid)
+    return order
+
+
+def reference_components(dims):
+    n_points = math.prod(m + 1 for m in dims)
+    parent = [-1] * n_points
+    comp = [-1] * n_points
+    cid = 0
+    for seed in range(n_points):
+        if parent[seed] < 0:
+            for pid in reference_bfs(dims, seed, parent):
+                comp[pid] = cid
+            cid += 1
+    return comp
+
+
+def reference_walk(grid, parent, origin, goal):
+    """The walk to ``goal`` read back from the parent links of a search from
+    ``origin``, or None."""
+    pid = core.encode_point(grid, goal)
+    if parent[pid] < 0:
+        return None
+    trail = [pid]
+    while pid != origin:
+        pid = parent[pid]
+        trail.append(pid)
+    points = [core.decode_point(grid, q).coords for q in reversed(trail)]
+    return [DirectionMask(tuple(0 if y > x else 1 for x, y in zip(here, there)))
+            for here, there in zip(points, points[1:])]
+
+
+def reference_parity_counts(grid):
+    """Points per parity index, one index tuple per point."""
+    counts = {}
+    for coords in itertools.product(*[range(m + 1) for m in grid.dims]):
+        bits = tuple((coords[0] + x) % 2 for x in coords[1:])
+        counts[bits] = counts.get(bits, 0) + 1
+    return counts
+
+
+def reference_first_visits(grid, residues):
+    """Step the phase state one step at a time over one period; map each
+    point visited to the answer of its first visit."""
+    seen = {}
+    for k in range(2 * grid.lcm):
+        now = [(u + k) % tm for u, tm in zip(residues, grid.two_m)]
+        point = tuple(m - abs(m - r) for r, m in zip(now, grid.dims))
+        if point not in seen:
+            seen[point] = ReachAnswer(True, k, tuple(int(r > m) for r, m in zip(now, grid.dims)))
+    return seen
 
 
 class TestPlantedFault:
@@ -156,6 +225,78 @@ def test_reachability_oracle_across_blocks():
                         == light_reachable(g, src, mask, tgt)), (src, signs, tgt)
 
 
+# sides of 1 (every coordinate on a wall), inside coordinates, and p up to 4
+SMALL_GRIDS = [(1, 1), (1, 4), (3, 2), (6, 4), (2, 1, 3), (1, 1, 1), (2, 2, 2),
+               (1, 1, 1, 1), (2, 1, 2, 2), (3, 2, 1, 2)]
+# periods of 3072 and 8400 steps: walks longer than one block
+LONG_GRIDS = [(512, 3), (600, 7)]
+
+
+class TestAgainstReferences:
+    """The column-built oracles equal the point-by-point and step-by-step
+    loops they replace."""
+
+    @pytest.mark.parametrize("dims", SMALL_GRIDS + LONG_GRIDS)
+    def test_component_ids(self, dims):
+        assert bfs_component_ids(GridSpec(dims)) == reference_components(dims)
+
+    @pytest.mark.parametrize("dims", SMALL_GRIDS + LONG_GRIDS)
+    def test_find_walk_bfs(self, dims):
+        g = GridSpec(dims)
+        points = [Point(c) for c in itertools.product(*[range(m + 1) for m in dims])]
+        # every goal from a spread of starts; on the long grids, a few goals
+        # at the far end of each coordinate
+        goals = points if g.n_points <= 200 else [
+            Point(c) for c in [(0, 1), (1, 0), (dims[0], dims[1]), (dims[0] - 1, 2), (5, 3)]]
+        for start in points[::max(1, len(points) // 6)]:
+            parent = [-1] * g.n_points
+            origin = core.encode_point(g, start)
+            reference_bfs(dims, origin, parent)
+            for goal in goals:
+                assert (find_walk_bfs(g, start, goal)
+                        == reference_walk(g, parent, origin, goal)), (start, goal)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 40, kernels.PARITY_BLOCK])
+    def test_parity_counts(self, monkeypatch, block):
+        # small blocks take every path of the tiling: whole grids in one
+        # block, runs of the next coordinate, and leading tuples
+        monkeypatch.setattr(kernels, "PARITY_BLOCK", block)
+        for dims in SMALL_GRIDS + [(4, 9), (5, 1, 6), (13, 2), (2, 3, 2, 3)]:
+            g = GridSpec(dims)
+            assert orbit_sizes_bruteforce(g) == reference_parity_counts(g), dims
+
+    @pytest.mark.parametrize("dims", SMALL_GRIDS)
+    def test_reach_oracle(self, dims):
+        g = GridSpec(dims)
+        points = [Point(c) for c in itertools.product(*[range(m + 1) for m in dims])]
+        for src in points[::max(1, len(points) // 5)]:
+            for signs in itertools.product((0, 1), repeat=g.p):
+                mask = DirectionMask(signs)
+                seen = reference_first_visits(g, lift(g, src, mask).residues)
+                for tgt in points:
+                    assert (light_reachable_oracle(g, src, mask, tgt)
+                            == seen.get(tgt.coords, ReachAnswer(False, None, None))), (src, signs, tgt)
+
+    @pytest.mark.parametrize("dims", LONG_GRIDS)
+    def test_reach_oracle_across_blocks(self, dims):
+        g = GridSpec(dims)
+        points = list(itertools.product(*[range(m + 1) for m in dims]))
+        # (5, 3) from (0, 0) on (512, 3) is first reached at step 1029, in
+        # the second block
+        targets = points[::97] + [(5, 3), (dims[0], dims[1]), (dims[0] - 1, 0)]
+        for src in (Point((0, 0)), Point((1, 1)), Point((dims[0] - 2, 2))):
+            for signs in itertools.product((0, 1), repeat=2):
+                mask = DirectionMask(signs)
+                seen = reference_first_visits(g, lift(g, src, mask).residues)
+                assert any(a.witness_steps >= kernels.BLOCK for a in seen.values())
+                for tgt in targets:
+                    assert (light_reachable_oracle(g, src, mask, Point(tgt))
+                            == seen.get(tgt, ReachAnswer(False, None, None))), (src, signs, tgt)
+        assert light_reachable_oracle(
+            GridSpec((512, 3)), Point((0, 0)), DirectionMask((0, 0)), Point((5, 3))
+        ).witness_steps == 1029
+
+
 def peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -185,3 +326,19 @@ class TestLongGrids:
             g, Point((0, 0)), ascending, Point((5000, 0))))
         assert result == ReachAnswer(True, 5000, (0, 0))
         assert peak < 1 << 20
+
+    def test_orbit_sizes_stream(self):
+        # the parity codes are counted in blocks, never held for the whole grid
+        g = GridSpec((1, 1000, 300))
+        result, peak = peak_bytes(lambda: orbit_sizes_bruteforce(g))
+        assert sum(result.values()) == g.n_points
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("dims", [(300, 300), (1, 1000, 300)])
+    def test_bfs_component_ids_per_point(self, dims):
+        # the parent and component lists and the visit order hold about
+        # 50 B per point; the move table adds a byte of class code per point
+        g = GridSpec(dims)
+        result, peak = peak_bytes(lambda: bfs_component_ids(g))
+        assert len(set(result)) == 2 ** (g.p - 1)
+        assert peak <= 64 * g.n_points

@@ -152,6 +152,16 @@ class TestBfsPartition:
         with pytest.raises(BudgetExceededError):
             bfs_component_ids(GridSpec((4000, 4000)))
 
+    def test_budget_counts_moves(self):
+        # 3**12 points but 4**12 moves: the search and its move table are
+        # bounded by the moves, refused before anything is built
+        g = GridSpec((2,) * 12)
+        assert g.n_points <= DEFAULT_STATE_BUDGET < g.n_states
+        with pytest.raises(BudgetExceededError, match="BFS moves"):
+            bfs_component_ids(g)
+        with pytest.raises(BudgetExceededError, match="BFS moves"):
+            find_walk_bfs(g, Point((0,) * 12), Point((1,) * 12))
+
 
 class TestFindWalk:
     def test_6x4_example_walk(self):
@@ -202,8 +212,9 @@ class TestFindWalk:
             finder(g, Point((0, 0)), Point((value, 2)))
 
     def test_budget(self):
-        # the BFS oracle is bounded by the grid's point count, checked before
-        # its parent list of 4001**2 entries is allocated
+        # the BFS oracle is bounded by the moves it examines, at least the
+        # grid's point count, checked before its parent list of 4001**2
+        # entries is allocated
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):
