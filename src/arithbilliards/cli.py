@@ -201,7 +201,7 @@ def cmd_render(args) -> tuple[dict, int]:
     opts = render.RenderOptions(
         cell_size=args.cell_size,
         margin=args.margin,
-        palette=tuple(args.palette.split(",")) if args.palette else ("green", "blue", "red"),
+        palette=("green", "blue", "red") if args.palette is None else args.palette.split(","),
     )
     svg = render.render_grid(grid, paths, opts)
     data = svg.encode("utf-8")

@@ -81,10 +81,10 @@ class Frozen:
 class GridSpec(Frozen):
     """Dimensions ``(m_1, ..., m_p)`` of an integer grid, ``p >= 2``.
 
-    Construction rejects grids whose full period ``2*lcm(dims)`` or
-    phase-state count would not fit in a signed 64-bit integer.  That bound
-    is the package's documented input limit; the arithmetic itself is exact
-    Python integers and would not wrap.
+    Construction rejects grids whose phase-state count ``2**p * prod(m_i)``,
+    at least the full period ``2*lcm(dims)``, would not fit in a signed
+    64-bit integer.  That bound is the package's documented input limit; the
+    arithmetic itself is exact Python integers and would not wrap.
     """
 
     __slots__ = ("dims",)
@@ -100,8 +100,6 @@ class GridSpec(Frozen):
         for m in dims:
             if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ValueError(f"grid dimensions must be positive integers, got {dims!r}")
-        if 2 * math.lcm(*dims) > INT64_MAX:
-            raise OverflowError(f"2*lcm{dims!r} does not fit in 64 bits")
         if math.prod(2 * m for m in dims) > INT64_MAX:
             raise OverflowError(f"phase-state count of grid {dims!r} does not fit in 64 bits")
 

@@ -33,7 +33,6 @@ from arithbilliards.circseq import (
     series_expand,
 )
 from arithbilliards.core import (
-    DirectionMask,
     GridSpec,
     OrbitIndex,
     Point,
@@ -41,8 +40,7 @@ from arithbilliards.core import (
 )
 from arithbilliards.render import render_grid
 from arithbilliards.walks import bfs_component_ids, orbit_size, orbit_sizes_bruteforce
-
-ASC2 = DirectionMask.ascending(2)
+from support import ASC2, P, all_points, grids, product
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -51,11 +49,6 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def grids(p: int, max_m: int):
-    for dims in itertools.product(range(1, max_m + 1), repeat=p):
-        yield dims
 
 
 def test_criterion_01_closed_path_counts_up_to_30():
@@ -200,10 +193,8 @@ def _orbit_structure_ok(dims) -> bool:
     # BFS partition must coincide with the parity-index partition
     comp_by_index: dict[tuple[int, ...], int] = {}
     index_by_comp: dict[int, tuple[int, ...]] = {}
-    for pid, coords in enumerate(
-        itertools.product(*[range(m + 1) for m in g.dims])
-    ):
-        bits = index_of(Point(coords)).bits
+    for pid, point in enumerate(all_points(g)):
+        bits = index_of(point).bits
         if comp_by_index.setdefault(bits, comp[pid]) != comp[pid]:
             return False
         if index_by_comp.setdefault(comp[pid], bits) != bits:
@@ -266,16 +257,6 @@ def test_criterion_10_wave_suite():
                 )
                 ok = ok and numerator_poly(spec) == definitional
     # the ten factored height-4 numerators
-    def P(*coeffs):
-        return IntPolynomial(tuple(coeffs))
-
-    def product(*factors):
-        out = [1]
-        for f in factors:
-            out = [sum(out[i] * f.coeff(n - i) for i in range(len(out)))
-                   for n in range(len(out) + len(f.coeffs) - 1)]
-        return IntPolynomial(tuple(out))
-
     base = (P(1, 1), P(1, 0, 1))
     x = P(0, 1)
     ten = {

@@ -1,6 +1,5 @@
 """Trajectories, path enumeration/counting, boundary and coordinate sums."""
 
-import itertools
 import math
 
 import pytest
@@ -35,13 +34,7 @@ from arithbilliards.core import (
     reverse,
     step,
 )
-
-ASC2 = DirectionMask.ascending(2)
-
-
-def all_states(grid):
-    for residues in itertools.product(*[range(tm) for tm in grid.two_m]):
-        yield PhaseState(residues)
+from support import ASC2, all_states, orbit
 
 
 class TestSimulate:
@@ -150,13 +143,8 @@ class TestClassify:
         g = GridSpec(dims)
         period = step_length(g)
         for state in all_states(g):
-            s = state
-            visits_vertex = False
-            for _ in range(period):
-                if all(u in (0, m) for u, m in zip(s.residues, g.dims)):
-                    visits_vertex = True
-                    break
-                s = step(g, s)
+            visits_vertex = any(all(u in (0, m) for u, m in zip(s.residues, g.dims))
+                                for s in orbit(g, state, period - 1))
             expected = PathKind.OPEN if visits_vertex else PathKind.CLOSED
             assert classify_path(g, state) is expected
 
@@ -187,12 +175,8 @@ class TestEnumerate:
         g = GridSpec((6, 4))
         period = step_length(g)
         for path in enumerate_paths(g):
-            states = []
-            s = path.representative
-            for _ in range(period):
-                states.append(s)
-                states.append(reverse(g, s))
-                s = step(g, s)
+            forward = orbit(g, path.representative, period - 1)
+            states = forward + [reverse(g, s) for s in forward]
             least = min(encode_state(g, x) for x in states)
             assert encode_state(g, path.representative) == least
 

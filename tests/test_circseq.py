@@ -1,7 +1,7 @@
-"""Triangle-wave sequences, closed forms, and generating functions."""
+"""Triangle-wave sequences, closed forms, generating functions, and the
+canonical form of their integer polynomials."""
 
 import random
-import tracemalloc
 
 import pytest
 
@@ -19,23 +19,10 @@ from arithbilliards.circseq import (
 from arithbilliards.core import (
     DEFAULT_STATE_BUDGET,
     BudgetExceededError,
-    DirectionMask,
     GridSpec,
     Point,
 )
-
-
-def P(*coeffs):
-    return IntPolynomial(tuple(coeffs))
-
-
-def product(*factors):
-    """The product of the polynomials ``factors``, by coefficient convolution."""
-    out = [1]
-    for f in factors:
-        out = [sum(out[i] * f.coeff(n - i) for i in range(len(out)))
-               for n in range(len(out) + len(f.coeffs) - 1)]
-    return IntPolynomial(tuple(out))
+from support import ASC2, P, peak_bytes, product
 
 
 def seq_values(spec, count):
@@ -253,24 +240,13 @@ class TestGenFunction:
     @pytest.mark.parametrize("build", [numerator_poly, gen_function])
     def test_height_budget_fires_before_allocating(self, build):
         spec = SeqSpec("+", 0, DEFAULT_STATE_BUDGET // 2 + 1)
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetExceededError):
-                build(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: build(spec), raises=BudgetExceededError)
         assert peak < 64 * 1024
 
     def test_expansion_budget_fires_before_allocating(self):
         gf = gen_function(SeqSpec("-", 1, 3))
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetExceededError):
-                series_expand(gf, DEFAULT_STATE_BUDGET)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: series_expand(gf, DEFAULT_STATE_BUDGET),
+                             raises=BudgetExceededError)
         assert peak < 64 * 1024
 
 
@@ -280,8 +256,26 @@ class TestBilliardsBridge:
         # at that coordinate with the grid dimension as its height
         g = GridSpec((6, 4))
         for coords in [(0, 0), (2, 3), (5, 1), (6, 4)]:
-            traj = simulate(g, Point(coords), DirectionMask.ascending(2), 30)
+            traj = simulate(g, Point(coords), ASC2, 30)
             for i, m in enumerate(g.dims):
                 spec = SeqSpec("+", coords[i], m)
                 trace = [p.coords[i] for p in traj.points]
                 assert trace == [circ_seq(spec, n) for n in range(31)]
+
+
+class TestCanonicalForm:
+    def test_trailing_zeros_trimmed(self):
+        assert P(1, 2, 0, 0).coeffs == (1, 2)
+        assert P(0, 0).coeffs == ()
+        assert P().degree == -1
+
+    def test_coeff_lookup(self):
+        p = P(3, 0, 5)
+        assert (p.coeff(0), p.coeff(1), p.coeff(2), p.coeff(7)) == (3, 0, 5, 0)
+        assert p.degree == 2
+
+    @pytest.mark.parametrize("coeffs", [(0.5, 2.9), (1, 2.0), (True, 0), ("1",), (1, None)])
+    def test_rejects_non_integer_coefficients(self, coeffs):
+        # truncating 0.5 to 0 would change the polynomial silently
+        with pytest.raises(ValueError, match="integers"):
+            IntPolynomial(coeffs)

@@ -344,7 +344,7 @@ class TestRender:
         out = tmp_path / "missing" / "deep" / "fig.svg"
         assert run(capsys, "render", "--dims", "6,4", "--out", str(out))[0] == 4
 
-    @pytest.mark.parametrize("palette", ['red"/><script>alert(1)</script><x a="', ",", "red,"])
+    @pytest.mark.parametrize("palette", ['red"/><script>alert(1)</script><x a="', ",", "red,", ""])
     def test_rejects_palette_markup(self, capsys, tmp_path, palette):
         out = tmp_path / "z.svg"
         code, doc = run(capsys, "render", "--dims", "2,2", "--out", str(out),

@@ -20,7 +20,6 @@ from arithbilliards.billiards import (
     step_length,
 )
 from arithbilliards.core import (
-    DirectionMask,
     GridSpec,
     Point,
     encode_point,
@@ -30,18 +29,7 @@ from arithbilliards.core import (
 )
 from arithbilliards.render import RenderOptions, render_grid
 from arithbilliards.walks import bfs_component_ids, find_walk, find_walk_bfs
-
-
-def all_points(grid):
-    return [Point(c) for c in itertools.product(*[range(m + 1) for m in grid.dims])]
-
-
-def orbit(grid, state, n_steps):
-    """``n_steps + 1`` states from ``state`` by repeated :func:`core.step`."""
-    states = [state]
-    for _ in range(n_steps):
-        states.append(step(grid, states[-1]))
-    return states
+from support import all_masks, all_points, grids, orbit
 
 
 # grids whose period 2*lcm spans several blocks of the orbit walk
@@ -50,8 +38,7 @@ MULTI_BLOCK = [(29, 30), (600, 7), (17, 19, 3)]
 
 @pytest.mark.parametrize("p,max_m", [(2, 6), (3, 6), (4, 3)])
 def test_enumerate_paths_matches_orbit_tracing(p, max_m):
-    small = itertools.product(range(1, max_m + 1), repeat=p)
-    for dims in itertools.chain(small, [d for d in MULTI_BLOCK if len(d) == p]):
+    for dims in itertools.chain(grids(p, max_m), [d for d in MULTI_BLOCK if len(d) == p]):
         g = GridSpec(dims)
         assert enumerate_paths(g) == enumerate_paths_exhaustive(g), dims
 
@@ -77,7 +64,7 @@ def test_simulate_matches_step_replay(dims):
     period = step_length(g)
     points = all_points(g)
     starts = points[:: max(1, len(points) // 5)]
-    masks = [DirectionMask(s) for s in itertools.product((0, 1), repeat=g.p)]
+    masks = all_masks(g.p)
     # below, at and several periods beyond one period of states
     lengths = [0, period - 2, period - 1, period, 3 * period + 5]
     for start in starts:
@@ -95,7 +82,7 @@ def test_simulate_short_trajectory_on_large_grid(dims):
     # the work follows n_steps, not the 2*m_i cycle of a long side
     g = GridSpec(dims)
     start = Point((1,) * g.p)
-    for mask in [DirectionMask(s) for s in itertools.product((0, 1), repeat=g.p)]:
+    for mask in all_masks(g.p):
         states = orbit(g, lift(g, start, mask), 4)
         for n in range(5):
             traj = simulate(g, start, mask, n)

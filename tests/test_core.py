@@ -1,7 +1,5 @@
 """Grid, point, phase-state, and elementary-map behavior."""
 
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,20 +22,9 @@ from arithbilliards.core import (
     step_back,
     step_directed,
 )
+from support import ASC2, all_masks, all_points, all_states, orbit
 
-ASC2 = DirectionMask.ascending(2)
 DESC2 = DirectionMask.descending(2)
-
-
-def all_states(grid):
-    for residues in itertools.product(*[range(tm) for tm in grid.two_m]):
-        yield PhaseState(residues)
-
-
-def all_points(grid):
-    for coords in itertools.product(*[range(m + 1) for m in grid.dims]):
-        yield Point(coords)
-
 
 small_grids = st.lists(st.integers(1, 6), min_size=2, max_size=3).map(
     lambda d: GridSpec(tuple(d))
@@ -101,9 +88,7 @@ class TestProject:
         assert state.residues == (10, 2)
         assert project(g, state).coords == (2, 2)
         # oracle: actually iterate the ascending process 8 times from (2,2)
-        s = lift(g, Point((2, 2)), ASC2)
-        for _ in range(8):
-            s = step(g, s)
+        s = orbit(g, lift(g, Point((2, 2)), ASC2), 8)[-1]
         assert project(g, s).coords == (2, 2)
         assert s == state
 
@@ -149,8 +134,8 @@ class TestLift:
     @given(grid_and_point())
     def test_project_lift_identity_both_masks(self, gp):
         grid, point = gp
-        for signs in itertools.product((0, 1), repeat=grid.p):
-            assert project(grid, lift(grid, point, DirectionMask(signs))) == point
+        for mask in all_masks(grid.p):
+            assert project(grid, lift(grid, point, mask)) == point
 
 
 class TestStepMaps:
@@ -167,9 +152,7 @@ class TestStepMaps:
 
     def test_four_steps_along_ray(self):
         g = GridSpec((6, 4))
-        s = PhaseState((0, 3))
-        for _ in range(4):
-            s = step(g, s)
+        s = orbit(g, PhaseState((0, 3)), 4)[-1]
         assert s.residues == (4, 7)
         assert project(g, s).coords == (4, 1)
 
@@ -249,9 +232,7 @@ class TestFullPeriod:
         g = GridSpec(dims)
         period = 2 * g.lcm
         for state in all_states(g):
-            s = state
-            for _ in range(period - 1):
-                s = step(g, s)
+            s = orbit(g, state, period - 1)[-1]
             assert s == step_back(g, state)
             assert step(g, s) == state
 

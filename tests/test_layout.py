@@ -1,11 +1,13 @@
-"""Source-tree layout: the package is plain Python sources only, and the
-oracle kernels use nothing beyond the standard library."""
+"""Source-tree layout: the package is plain Python sources only, the
+oracle kernels use nothing beyond the standard library, and each test helper
+is defined once."""
 
 import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "arithbilliards"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "arithbilliards"
 
 
 def test_package_holds_only_python_sources():
@@ -38,7 +40,6 @@ def test_kernels_import_only_the_standard_library():
     assert from_package == {"arithbilliards.core.solve_congruences",
                             "arithbilliards.core.encode_digits",
                             "arithbilliards.core.decode_digits"}
-
 
 
 def _modules():
@@ -82,3 +83,36 @@ def test_no_per_call_budget_parameters():
     )
     # the one budget is core.DEFAULT_STATE_BUDGET
     assert knobs == [], f"per-call budget overrides: {knobs}"
+
+
+def _test_modules():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))}
+
+
+def test_each_test_helper_defined_once():
+    # a helper or constant that two modules need lives in support.py and is
+    # imported from there; two definitions would drift apart
+    homes = {}
+    for name, tree in _test_modules().items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            for helper in defined:
+                if not helper.startswith("test_"):
+                    homes.setdefault(helper, []).append(name)
+    forked = {helper: files for helper, files in homes.items() if len(files) > 1}
+    assert forked == {}, f"helpers defined in more than one test module: {forked}"
+
+
+def test_one_memory_probe():
+    probes = sorted(
+        name for name, tree in _test_modules().items()
+        if any(isinstance(node, ast.Import) and any(a.name == "tracemalloc" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "tracemalloc"
+               for node in ast.walk(tree))
+    )
+    assert probes == ["support.py"], f"tracemalloc used outside support.peak_bytes: {probes}"

@@ -4,7 +4,6 @@ long grids."""
 
 import itertools
 import math
-import tracemalloc
 
 import pytest
 
@@ -17,10 +16,7 @@ from arithbilliards.billiards import (
 )
 from arithbilliards.core import DirectionMask, GridSpec, PhaseState, Point, lift
 from arithbilliards.walks import bfs_component_ids, find_walk_bfs, orbit_sizes_bruteforce
-
-
-def all_states(two_m):
-    return itertools.product(*[range(tm) for tm in two_m])
+from support import ASC2, all_masks, all_points, all_states, peak_bytes
 
 
 def reference_closure(two_m, residues, limit):
@@ -98,7 +94,8 @@ def reference_walk(grid, parent, origin, goal):
 def reference_parity_counts(grid):
     """Points per parity index, one index tuple per point."""
     counts = {}
-    for coords in itertools.product(*[range(m + 1) for m in grid.dims]):
+    for point in all_points(grid):
+        coords = point.coords
         bits = tuple((coords[0] + x) % 2 for x in coords[1:])
         counts[bits] = counts.get(bits, 0) + 1
     return counts
@@ -162,8 +159,8 @@ class TestPlantedFaultInTables:
         monkeypatch.setattr(kernels, "_closure_mask", faulty)
         two_m = [2 * m for m in dims]
         period = math.lcm(*two_m)
-        expected = sum(kernels.least_closure(two_m, u, period) != period
-                       for u in all_states(two_m))
+        expected = sum(kernels.least_closure(two_m, s.residues, period) != period
+                       for s in all_states(GridSpec(dims)))
         assert 0 < expected < math.prod(two_m)
         assert kernels.least_closure_violations(list(dims)) == expected
 
@@ -176,8 +173,8 @@ class TestPlantedFaultInTables:
 
         monkeypatch.setattr(kernels, "_period_sum", faulty)
         expect = [m * math.lcm(*dims) for m in dims]
-        expected = sum(kernels.period_sums(list(dims), u) != expect
-                       for u in all_states([2 * m for m in dims]))
+        expected = sum(kernels.period_sums(list(dims), s.residues) != expect
+                       for s in all_states(GridSpec(dims)))
         assert 0 < expected < math.prod(2 * m for m in dims)
         assert kernels.coordinate_sum_violations(list(dims)) == expected
 
@@ -186,7 +183,7 @@ class TestPlantedFaultInTables:
 def test_least_closure_matches_reference(dims):
     two_m = [2 * m for m in dims]
     period = math.lcm(*two_m)
-    for residues in all_states(two_m):
+    for residues in (s.residues for s in all_states(GridSpec(dims))):
         for limit in (0, 1, period - 1, period, 2 * period + 3):
             assert (kernels.least_closure(two_m, residues, limit)
                     == reference_closure(two_m, residues, limit)), (residues, limit)
@@ -194,7 +191,7 @@ def test_least_closure_matches_reference(dims):
 
 @pytest.mark.parametrize("dims", [(3, 2), (4, 3), (3, 2, 2), (2, 5)])
 def test_period_sums_match_reference(dims):
-    for residues in all_states([2 * m for m in dims]):
+    for residues in (s.residues for s in all_states(GridSpec(dims))):
         assert kernels.period_sums(list(dims), residues) == reference_sums(dims, residues)
 
 
@@ -218,11 +215,10 @@ def test_reachability_oracle_across_blocks():
     g = GridSpec((512, 3))
     targets = [Point((x, y)) for x in (0, 1, 2, 510, 511, 512) for y in range(4)]
     for src in (Point((0, 0)), Point((3, 1))):
-        for signs in itertools.product((0, 1), repeat=2):
-            mask = DirectionMask(signs)
+        for mask in all_masks(2):
             for tgt in targets:
                 assert (light_reachable_oracle(g, src, mask, tgt)
-                        == light_reachable(g, src, mask, tgt)), (src, signs, tgt)
+                        == light_reachable(g, src, mask, tgt)), (src, mask.signs, tgt)
 
 
 # sides of 1 (every coordinate on a wall), inside coordinates, and p up to 4
@@ -243,7 +239,7 @@ class TestAgainstReferences:
     @pytest.mark.parametrize("dims", SMALL_GRIDS + LONG_GRIDS)
     def test_find_walk_bfs(self, dims):
         g = GridSpec(dims)
-        points = [Point(c) for c in itertools.product(*[range(m + 1) for m in dims])]
+        points = all_points(g)
         # every goal from a spread of starts; on the long grids, a few goals
         # at the far end of each coordinate
         goals = points if g.n_points <= 200 else [
@@ -268,43 +264,31 @@ class TestAgainstReferences:
     @pytest.mark.parametrize("dims", SMALL_GRIDS)
     def test_reach_oracle(self, dims):
         g = GridSpec(dims)
-        points = [Point(c) for c in itertools.product(*[range(m + 1) for m in dims])]
+        points = all_points(g)
         for src in points[::max(1, len(points) // 5)]:
-            for signs in itertools.product((0, 1), repeat=g.p):
-                mask = DirectionMask(signs)
+            for mask in all_masks(g.p):
                 seen = reference_first_visits(g, lift(g, src, mask).residues)
                 for tgt in points:
                     assert (light_reachable_oracle(g, src, mask, tgt)
-                            == seen.get(tgt.coords, ReachAnswer(False, None, None))), (src, signs, tgt)
+                            == seen.get(tgt.coords, ReachAnswer(False, None, None))), (src, mask.signs, tgt)
 
     @pytest.mark.parametrize("dims", LONG_GRIDS)
     def test_reach_oracle_across_blocks(self, dims):
         g = GridSpec(dims)
-        points = list(itertools.product(*[range(m + 1) for m in dims]))
+        points = [point.coords for point in all_points(g)]
         # (5, 3) from (0, 0) on (512, 3) is first reached at step 1029, in
         # the second block
         targets = points[::97] + [(5, 3), (dims[0], dims[1]), (dims[0] - 1, 0)]
         for src in (Point((0, 0)), Point((1, 1)), Point((dims[0] - 2, 2))):
-            for signs in itertools.product((0, 1), repeat=2):
-                mask = DirectionMask(signs)
+            for mask in all_masks(2):
                 seen = reference_first_visits(g, lift(g, src, mask).residues)
                 assert any(a.witness_steps >= kernels.BLOCK for a in seen.values())
                 for tgt in targets:
                     assert (light_reachable_oracle(g, src, mask, Point(tgt))
-                            == seen.get(tgt, ReachAnswer(False, None, None))), (src, signs, tgt)
+                            == seen.get(tgt, ReachAnswer(False, None, None))), (src, mask.signs, tgt)
         assert light_reachable_oracle(
             GridSpec((512, 3)), Point((0, 0)), DirectionMask((0, 0)), Point((5, 3))
         ).witness_steps == 1029
-
-
-def peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 class TestLongGrids:
@@ -320,10 +304,9 @@ class TestLongGrids:
         # (5000, 0) is first reached at step 5000, several blocks into a period
         # of 2e9 steps
         g = GridSpec((10**9, 2))
-        ascending = DirectionMask.ascending(2)
         monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 2 * 10**9)
         result, peak = peak_bytes(lambda: light_reachable_oracle(
-            g, Point((0, 0)), ascending, Point((5000, 0))))
+            g, Point((0, 0)), ASC2, Point((5000, 0))))
         assert result == ReachAnswer(True, 5000, (0, 0))
         assert peak < 1 << 20
 

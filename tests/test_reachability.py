@@ -22,19 +22,7 @@ from arithbilliards.core import (
     Point,
     lift,
 )
-
-ASC2 = DirectionMask.ascending(2)
-
-
-def all_points(grid):
-    return [
-        Point(coords)
-        for coords in itertools.product(*[range(m + 1) for m in grid.dims])
-    ]
-
-
-def all_masks(p):
-    return [DirectionMask(signs) for signs in itertools.product((0, 1), repeat=p)]
+from support import ASC2, all_masks, all_points, grids
 
 
 def sign_loop(grid, source, mask, target):
@@ -157,8 +145,8 @@ class TestOracleEquivalence:
 
 class TestSignLoopReference:
     @pytest.mark.parametrize("dims", [
-        *itertools.product(range(1, 5), repeat=2),
-        *itertools.product(range(1, 3), repeat=3),
+        *grids(2, 4),
+        *grids(3, 2),
     ])
     def test_every_triple(self, dims):
         g = GridSpec(dims)

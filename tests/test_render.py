@@ -5,8 +5,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from arithbilliards.billiards import Path, PathKind, enumerate_paths, simulate
-from arithbilliards.core import BudgetExceededError, DirectionMask, GridSpec, Point
+from arithbilliards.core import BudgetExceededError, GridSpec, Point
 from arithbilliards.render import RenderOptions, render_grid
+from support import ASC2
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -37,7 +38,7 @@ class TestStructure:
 
     def test_octagon_trajectory(self):
         g = GridSpec((4, 3))
-        traj = simulate(g, Point((2, 2)), DirectionMask.ascending(2), 8)
+        traj = simulate(g, Point((2, 2)), ASC2, 8)
         svg = render_grid(g, [traj])
         (poly,) = elements(parse(svg), "polyline")
         pairs = poly.attrib["points"].split()
@@ -70,7 +71,7 @@ class TestStructure:
 class TestCoordinates:
     def test_lattice_mapping_and_y_flip(self):
         g = GridSpec((2, 2))
-        traj = simulate(g, Point((0, 0)), DirectionMask.ascending(2), 1)
+        traj = simulate(g, Point((0, 0)), ASC2, 1)
         opts = RenderOptions(cell_size=10, margin=5)
         (poly,) = elements(parse(render_grid(g, [traj], opts)), "polyline")
         # (0,0) is bottom-left, so it maps to (margin, margin + cell*m2)

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,13 +32,7 @@ from arithbilliards.walks import (
     orbit_sizes_bruteforce,
     same_orbit,
 )
-
-
-def all_points(grid):
-    return [
-        Point(coords)
-        for coords in itertools.product(*[range(m + 1) for m in grid.dims])
-    ]
+from support import ASC2, all_points, grids, peak_bytes
 
 
 class TestSameOrbit:
@@ -66,7 +59,7 @@ class TestOrbitSize:
         assert orbit_size(g, OrbitIndex((1,))) == 17
 
     def test_even_even_grids_have_one_extra_even_point(self):
-        for m, n in itertools.product(range(1, 13), repeat=2):
+        for m, n in grids(2, 12):
             g = GridSpec((m, n))
             even = orbit_size(g, OrbitIndex((0,)))
             odd = orbit_size(g, OrbitIndex((1,)))
@@ -125,13 +118,7 @@ class TestOrbitPartition:
         monkeypatch.setattr(walks, "orbit_size", never)
         g = GridSpec((1,) * 25)
         assert 2 ** (g.p - 1) > DEFAULT_STATE_BUDGET
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetExceededError):
-                orbit_partition(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: orbit_partition(g), raises=BudgetExceededError)
         assert peak < 64 * 1024
 
 
@@ -174,7 +161,7 @@ class TestFindWalk:
         g = GridSpec((6, 4))
         start, goal = Point((0, 2)), Point((4, 0))
         walk = find_walk(g, start, goal)
-        state = lift(g, start, DirectionMask.ascending(2))
+        state = lift(g, start, ASC2)
         for mask in walk:
             state = step_directed(g, state, mask)
         assert project(g, state) == goal
@@ -215,13 +202,9 @@ class TestFindWalk:
         # the BFS oracle is bounded by the moves it examines, at least the
         # grid's point count, checked before its parent list of 4001**2
         # entries is allocated
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetExceededError):
-                find_walk_bfs(GridSpec((4000, 4000)), Point((0, 0)), Point((1, 1)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(
+            lambda: find_walk_bfs(GridSpec((4000, 4000)), Point((0, 0)), Point((1, 1))),
+            raises=BudgetExceededError)
         assert peak < 64 * 1024
 
     def test_budget_bounds_walk_length(self, monkeypatch):
