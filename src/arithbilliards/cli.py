@@ -198,11 +198,9 @@ def cmd_render(args) -> tuple[dict, int]:
         paths = [p for p in paths if p.kind is billiards.PathKind.OPEN]
     elif args.paths == "closed":
         paths = [p for p in paths if p.kind is billiards.PathKind.CLOSED]
-    opts = render.RenderOptions(
-        cell_size=args.cell_size,
-        margin=args.margin,
-        palette=("green", "blue", "red") if args.palette is None else args.palette.split(","),
-    )
+    # RenderOptions holds the one default palette
+    palette = {} if args.palette is None else {"palette": args.palette.split(",")}
+    opts = render.RenderOptions(cell_size=args.cell_size, margin=args.margin, **palette)
     svg = render.render_grid(grid, paths, opts)
     data = svg.encode("utf-8")
     with open(args.out, "wb") as fh:

@@ -4,9 +4,22 @@ Trajectories render as polylines through every lattice point they visit,
 reflection vertices included, with the y axis flipped so (0, 0) sits at the
 bottom-left.  Output is a pure function of the inputs: integer coordinates
 only, fixed attribute order, byte-identical across runs.
+
+Step ``k`` of a path sits at the tent map of ``(u_i + k) mod 2*m_i`` on each
+axis, so an axis of a drawing repeats a cycle of at most ``2*m_i`` positions
+and the ``points`` text is two periodic label sequences interleaved.  A call
+builds one label table per axis, ``"X,"`` or ``"Y "`` for each phase, maps
+each axis's cycle through it, repeats the labels out to the drawn length and
+interleaves the axes by slice assignment; no Python code runs per vertex.  A
+polyline holds a list of two references per vertex while its text (about 12 B
+per vertex at the default scale on ``(1000, 999)``) is joined, and the document
+is joined once from the polylines, so rendering every path of ``(1000, 999)``,
+1,998,002 vertices, peaks at about 23 B per drawn vertex (``tracemalloc``).
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from arithbilliards.billiards import (
     Path,
@@ -18,9 +31,10 @@ from arithbilliards.billiards import (
 from arithbilliards.core import (
     Frozen,
     GridSpec,
+    _cycle,
+    _repeat,
     check_budget,
     solve_congruences,
-    tent_columns,
 )
 
 GRID_STROKE_WIDTH = 1
@@ -67,15 +81,35 @@ def _path_steps(grid: GridSpec, path: Path) -> int:
     return k if path.kind is PathKind.CLOSED else k // 2
 
 
-def _path_columns(grid: GridSpec, path: Path) -> list[list[int]]:
-    """Vertex columns (one per coordinate) for drawing a Path.
+def _trajectory_columns(grid: GridSpec, trajectory: Trajectory) -> list[tuple[int, ...]]:
+    """The x and y columns of ``trajectory``'s points, checked to lie on ``grid``.
+
+    Each axis is checked on its set of distinct values: every coordinate must
+    be an ``int`` in ``0..m_i``, so it indexes that axis's label table.
+    """
+    coords = list(map(attrgetter("coords"), trajectory.points))
+    if set(map(len, coords)) - {2}:
+        raise ValueError("trajectory arity does not match the 2-D grid")
+    columns = list(zip(*coords)) or [(), ()]
+    for i, (column, m) in enumerate(zip(columns, grid.dims)):
+        if set(map(type, column)) - {int}:
+            raise ValueError(f"trajectory coordinate x_{i + 1} must be an integer")
+        values = set(column)
+        if values and (min(values) < 0 or max(values) > m):
+            raise ValueError(f"trajectory leaves the grid: x_{i + 1} takes "
+                             f"{min(values)}..{max(values)}, not within 0..{m}")
+    return columns
+
+
+def _path_cycles(grid: GridSpec, path: Path, n: int) -> list[list[int]]:
+    """Phase cycles (one per coordinate, at most ``2*m_i`` entries) of the
+    ``n`` vertices drawn for a Path.
 
     Closed paths draw one full period (a loop) from the representative.  Open
     paths start from the first grid vertex on the orbit, the least ``k`` with
     ``u_i + k = 0 (mod m_i)`` for every ``i``, and draw half a period, giving
     the vertex-to-vertex beam without retracing.
     """
-    steps = _path_steps(grid, path)
     residues = path.representative.residues
     if path.kind is PathKind.OPEN:
         to_vertex = solve_congruences([(-u) % m for u, m in zip(residues, grid.dims)],
@@ -83,22 +117,58 @@ def _path_columns(grid: GridSpec, path: Path) -> list[list[int]]:
         if to_vertex is None:
             raise ArithmeticError("open path orbit never reaches a grid vertex")
         residues = [u + to_vertex for u in residues]
-    return tent_columns(grid, residues, steps + 1)
+    return [_cycle(u, tm, n) for u, tm in zip(residues, grid.two_m)]
+
+
+def _axis_labels(m: int, screen, end: str) -> list[str]:
+    """Label of each phase ``r`` in ``0 .. 2*m - 1`` of one axis: the screen
+    coordinate of its tent position ``m - |m - r|``, followed by ``end``.
+
+    The first ``m + 1`` entries are the labels of positions ``0..m``.
+    """
+    labels = [f"{screen(x)}{end}" for x in range(m + 1)]
+    return labels + labels[m - 1:0:-1]
+
+
+def _polyline(tables, columns, n: int, color: str) -> str:
+    """The ``<polyline>`` element through ``n`` vertices, joined once.
+
+    Each axis's column (a cycle, or all ``n`` coordinates) is mapped through
+    its label table and repeated out to ``n`` labels; the ``"X,"`` and
+    ``"Y "`` labels are interleaved by slice assignment after the opening
+    text, and the last element trades its trailing space for the closing text.
+    """
+    text = [""] * (2 * n + 1)
+    text[0] = '<polyline points="'
+    for axis, (table, column) in enumerate(zip(tables, columns)):
+        text[1 + axis::2] = _repeat(list(map(table.__getitem__, column)), n)
+    text[-1] = (text[-1].removesuffix(" ") + f'" fill="none" stroke="{color}" '
+                f'stroke-width="{PATH_STROKE_WIDTH}"/>')
+    return "".join(text)
 
 
 def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str:
     """Render a 2-D grid with the given Trajectory/Path items as an SVG document.
 
-    The budget bounds the vertices drawn for Path items.
+    The budget bounds the vertices drawn for Path items.  A Trajectory must
+    lie on the grid.
     """
     if grid.p != 2:
         raise ValueError(f"rendering requires a 2-D grid, got {grid.p} dimensions")
     opts = opts or RenderOptions()
     if not opts.palette:
         raise ValueError("palette must not be empty")
-    items = list(paths)
-    check_budget(sum(_path_steps(grid, item) + 1 for item in items if isinstance(item, Path)),
-                 "path vertices")
+    # one validating pass: each Path's vertex count, each Trajectory's columns
+    drawn = []
+    for item in paths:
+        if isinstance(item, Path):
+            drawn.append((item, _path_steps(grid, item) + 1))
+        elif isinstance(item, Trajectory):
+            columns = _trajectory_columns(grid, item)
+            drawn.append((columns, len(columns[0])))
+        else:
+            raise TypeError(f"cannot render {type(item).__name__}")
+    check_budget(sum(n for item, n in drawn if isinstance(item, Path)), "path vertices")
     m1, m2 = grid.dims
     cell = opts.cell_size
     margin = opts.margin
@@ -128,21 +198,9 @@ def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str
             f'<line x1="{sx(0)}" y1="{sy(y)}" x2="{sx(m1)}" y2="{sy(y)}" '
             f'stroke="gray" stroke-width="{GRID_STROKE_WIDTH}"/>'
         )
-    for i, item in enumerate(items):
-        if isinstance(item, Trajectory):
-            pairs = [pt.coords for pt in item.points]
-            if any(len(pair) != 2 for pair in pairs):
-                raise ValueError("trajectory arity does not match the 2-D grid")
-            coords = " ".join(f"{sx(x)},{sy(y)}" for x, y in pairs)
-        elif isinstance(item, Path):
-            xs, ys = _path_columns(grid, item)
-            coords = " ".join(f"{sx(x)},{sy(y)}" for x, y in zip(xs, ys))
-        else:
-            raise TypeError(f"cannot render {type(item).__name__}")
-        color = opts.palette[i % len(opts.palette)]
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{PATH_STROKE_WIDTH}"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    tables = (_axis_labels(m1, sx, ","), _axis_labels(m2, sy, " ")) if drawn else ()
+    for i, (item, n) in enumerate(drawn):
+        columns = _path_cycles(grid, item, n) if isinstance(item, Path) else item
+        parts.append(_polyline(tables, columns, n, opts.palette[i % len(opts.palette)]))
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules, each defined once: the finite sets the
 laws are checked on (grids, lattice points, phase states, direction masks),
-the ``core.step`` replay, the polynomial builders and the memory probe.
+the ``core.step`` replay, the polynomial builders, the memory probe and the
+SVG element finder.
 
 Pytest puts this directory on ``sys.path``, so a test module imports it as
 ``from support import ...``.
@@ -15,6 +16,7 @@ from arithbilliards.circseq import IntPolynomial
 from arithbilliards.core import DirectionMask, PhaseState, Point, step
 
 ASC2 = DirectionMask.ascending(2)
+SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def grids(p, max_m):
@@ -74,3 +76,8 @@ def peak_bytes(fn, raises=None):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def elements(root, tag):
+    """Every ``tag`` element (an SVG name such as ``"polyline"``) under ``root``."""
+    return root.findall(f".//{SVG_NS}{tag}")

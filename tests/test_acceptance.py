@@ -40,7 +40,7 @@ from arithbilliards.core import (
 )
 from arithbilliards.render import render_grid
 from arithbilliards.walks import bfs_component_ids, orbit_size, orbit_sizes_bruteforce
-from support import ASC2, P, all_points, grids, product
+from support import ASC2, P, all_points, elements, grids, product
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -297,7 +297,7 @@ def test_criterion_11_renderer_determinism():
     a = render_grid(g, enumerate_paths(g))
     b = render_grid(g, enumerate_paths(g))
     root = ET.fromstring(a)
-    polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
+    polylines = elements(root, "polyline")
     report(
         "criterion 11 (6x4 SVG: valid XML, 3 polylines, byte-identical)",
         a.encode() == b.encode() and len(polylines) == 3,

@@ -319,6 +319,14 @@ class TestRender:
         assert len(data) == doc["payload"]["bytes"]
         assert data.count(b"<polyline") == 3
 
+    def test_default_options_are_the_library_defaults(self, capsys, tmp_path):
+        # without --palette, --cell-size or --margin, the drawing is
+        # render_grid's own default one
+        out = tmp_path / "fig.svg"
+        assert run(capsys, "render", "--dims", "6,4", "--out", str(out))[0] == 0
+        g = core.GridSpec((6, 4))
+        assert out.read_bytes() == render.render_grid(g, billiards.enumerate_paths(g)).encode()
+
     def test_closed_only_when_none_exist(self, capsys, tmp_path):
         out = tmp_path / "none.svg"
         code, doc = run(

@@ -29,7 +29,7 @@ from arithbilliards.core import (
 )
 from arithbilliards.render import RenderOptions, render_grid
 from arithbilliards.walks import bfs_component_ids, find_walk, find_walk_bfs
-from support import all_masks, all_points, grids, orbit
+from support import all_masks, all_points, elements, grids, orbit
 
 
 # grids whose period 2*lcm spans several blocks of the orbit walk
@@ -108,7 +108,7 @@ def test_render_polylines_match_step_replay(dims):
     opts = RenderOptions(cell_size=1, margin=0)
     paths = enumerate_paths(g)
     root = ET.fromstring(render_grid(g, paths, opts))
-    polys = root.findall(".//{http://www.w3.org/2000/svg}polyline")
+    polys = elements(root, "polyline")
     assert len(polys) == len(paths)
     for path, poly in zip(paths, polys):
         state = path.representative

@@ -1,23 +1,18 @@
 """SVG output: structure, coordinates, determinism, error handling."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from arithbilliards.billiards import Path, PathKind, enumerate_paths, simulate
-from arithbilliards.core import BudgetExceededError, GridSpec, Point
+from arithbilliards.billiards import Path, PathKind, Trajectory, enumerate_paths, simulate
+from arithbilliards.core import BudgetExceededError, GridSpec, PhaseState, Point
 from arithbilliards.render import RenderOptions, render_grid
-from support import ASC2
-
-SVG_NS = "{http://www.w3.org/2000/svg}"
+from support import ASC2, elements, grids, peak_bytes
 
 
 def parse(svg: str) -> ET.Element:
     return ET.fromstring(svg)
-
-
-def elements(root, tag):
-    return root.findall(f".//{SVG_NS}{tag}")
 
 
 class TestStructure:
@@ -91,6 +86,38 @@ class TestDeterminism:
         b = render_grid(g, enumerate_paths(g))
         assert a.encode("utf-8") == b.encode("utf-8")
 
+    def test_documents_are_pinned(self):
+        # one SHA-256 over every 2-D grid with sides up to 12 under three
+        # option sets, then a trajectory and an empty one drawn with the paths
+        # of (9, 7): any change to a byte of the drawings changes it
+        options = [RenderOptions(), RenderOptions(cell_size=1, margin=0),
+                   RenderOptions(cell_size=7, margin=3, palette=("red", "#0a0b0c"))]
+        digest = hashlib.sha256()
+        for dims in grids(2, 12):
+            g = GridSpec(dims)
+            paths = enumerate_paths(g)
+            for opts in options:
+                digest.update(render_grid(g, paths, opts).encode())
+        g = GridSpec((9, 7))
+        traj = simulate(g, Point((2, 3)), ASC2, 100)
+        digest.update(render_grid(g, [traj, Trajectory((), ()), *enumerate_paths(g)]).encode())
+        assert digest.hexdigest() == (
+            "6774296a65b3bf8d89a4b28dd3ff003035ec2ab7984368e3cd65925b16c8f477")
+
+
+class TestMemory:
+    def test_peak_per_drawn_vertex(self):
+        # the two open paths of (1000, 999), 999,001 vertices each: the labels
+        # are shared strings, so a vertex costs its text and two list slots
+        g = GridSpec((1000, 999))
+        paths = enumerate_paths(g)
+        vertices = sum((p.step_length if p.kind is PathKind.CLOSED else p.step_length // 2) + 1
+                       for p in paths)
+        assert vertices == 1_998_002
+        svg, peak = peak_bytes(lambda: render_grid(g, paths))
+        assert svg.count(",") == vertices
+        assert peak <= 32 * vertices
+
 
 class TestErrors:
     def test_rejects_non_planar_grid(self):
@@ -135,6 +162,18 @@ class TestErrors:
     def test_rejects_paths_of_another_grid(self, dims, path_dims):
         with pytest.raises(ValueError):
             render_grid(GridSpec(dims), enumerate_paths(GridSpec(path_dims)))
+
+    @pytest.mark.parametrize("traj", [
+        # a trajectory of a larger grid: x reaches 9 on a grid 6 wide
+        simulate(GridSpec((9, 7)), Point((2, 3)), ASC2, 30),
+        Trajectory((Point((0, 0)), Point((-1, 0))), (PhaseState((0, 0)),) * 2),
+        Trajectory((Point((1, 4)), Point((2, 5))), (PhaseState((1, 4)),) * 2),
+        Trajectory((Point((1, True)),), (PhaseState((1, 1)),)),
+        Trajectory((Point((1.0, 1)),), (PhaseState((1, 1)),)),
+    ], ids=["larger-grid", "negative", "above-top", "bool", "float"])
+    def test_rejects_trajectories_off_the_grid(self, traj):
+        with pytest.raises(ValueError, match="trajectory"):
+            render_grid(GridSpec((6, 4)), [traj])
 
     def test_vertex_budget(self):
         # two open paths of about 10**12 vertices each, refused before drawing
