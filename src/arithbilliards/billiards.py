@@ -20,11 +20,11 @@ from arithbilliards.core import (
     GridSpec,
     PhaseState,
     Point,
-    _merge_congruence,
+    _lift_residues,
+    _merge_stage,
     check_budget,
+    crt_stages,
     decode_state,
-    encode_point,
-    lift,
     phase_columns,
     project,
     solve_congruences,
@@ -109,7 +109,7 @@ def simulate(grid: GridSpec, start: Point, mask: DirectionMask, n_steps: int) ->
     check_budget(n_steps, "steps")
     period = step_length(grid)
     count = min(n_steps + 1, period)
-    residues = lift(grid, start, mask).residues
+    residues = _lift_residues(grid, start, mask)
     points = tuple(map(Point, zip(*tent_columns(grid, residues, count))))
     states = tuple(map(PhaseState, zip(*phase_columns(grid, residues, count))))
     if count < n_steps + 1:
@@ -176,25 +176,21 @@ def enumerate_paths(grid: GridSpec) -> list[Path]:
     """
     k = step_length(grid)
     check_budget(grid.n_states // k, "step orbits")
-    # per coordinate after the first: its modulus, the lcm of the moduli
+    # the coordinates after the first, each with the lcm of the moduli
     # before it, their gcd g, and the inverse of lcm/g modulo 2*m_i/g
-    moduli = []
-    lcm = grid.two_m[0]
-    for tm in grid.two_m[1:]:
-        g = math.gcd(lcm, tm)
-        moduli.append((tm, lcm, g, tm // g, pow(lcm // g, -1, tm // g)))
-        lcm = lcm // g * tm
+    stages = crt_stages(grid.two_m)[1:]
     paths = []
-    for tail in itertools.product(*[range(g) for _, _, g, _, _ in moduli]):
+    for tail in itertools.product(*[range(g) for _, _, g, _, _ in stages]):
         # least state on the orbit of -c, whose first coordinate is already 0:
         # shifting by a multiple of the lcm of the earlier moduli keeps the
         # earlier coordinates and brings coordinate i down to its value mod g
         shift = 0
         least = []
-        for c, (tm, before, g, tg, inv) in zip(tail, moduli):
+        for c, (_, tm, g, lcm_g, inv) in zip(tail, stages):
             v = (shift - c) % tm
-            shift += before * (-(v // g) * inv % tg)
-            least.append(v % g)
+            low = v % g
+            shift += lcm_g * ((low - v) * inv % tm)
+            least.append(low)
         reverse_tail = tuple(least)
         if tail <= reverse_tail:
             paths.append(_path(PhaseState((0,) + tail), tail == reverse_tail, k))
@@ -266,32 +262,34 @@ def coordinate_sums(grid: GridSpec, start: PhaseState) -> tuple[int, ...]:
 
 def _least_reach(grid: GridSpec, source: Point, target: Point, source_signs) -> ReachAnswer:
     """Least ``(k, mask, signs)`` with ``k = v_i - u_i (mod 2*m_i)``, source signs from
-    ``source_signs[i]``, merged coordinate by coordinate: each residue mod the running lcm
-    keeps its least key ``mask prefix * 2**p + sign prefix``; the last coordinate keeps only
-    the least ``(k, key)``.  Budgeted before the first merge."""
-    offers = [[(((-t if s else t) - (-x if a else x)) % tm, (a << grid.p) + s)
+    ``source_signs[i]``, merged coordinate by coordinate on the constants of
+    :func:`core.crt_stages`: each residue mod the running lcm keeps its least key
+    ``mask prefix * 2**p + sign prefix``; the last coordinate keeps only the least
+    ``(k, key)``.  Budgeted before the first merge."""
+    p = grid.p
+    two_m = grid.two_m
+    offers = [[(((-t if s else t) - (-x if a else x)) % tm, (a << p) + s)
                for a in lifts for s in (0, 1)]
-              for x, t, tm, lifts in zip(source.coords, target.coords, grid.two_m, source_signs)]
-    lcms = list(itertools.accumulate(grid.two_m, math.lcm, initial=1))
+              for x, t, tm, lifts in zip(source.coords, target.coords, two_m, source_signs)]
+    stages = crt_stages(two_m)
     c = len(offers[0])  # offers per coordinate
-    check_budget(sum(min(c ** i, lcm) * c for i, lcm in enumerate(lcms[:-1])),
+    check_budget(sum(min(c ** i, lcm) * c for i, (lcm, *_) in enumerate(stages)),
                  "congruence merges")
     live = {0: 0}
-    stages = list(zip(lcms, grid.two_m, offers))
-    for lcm, tm, offer in stages[:-1]:
+    for stage, offer in zip(stages[:-1], offers):
         merged = {}
         for r, prefix in live.items():
             for v, bits in offer:
-                if (hit := _merge_congruence(r, lcm, v, tm)) is not None:
-                    key = 2 * prefix + bits
-                    merged[hit[0]] = min(merged.get(hit[0], key), key)
+                k = _merge_stage(r, v, stage)
+                if k is not None and (key := 2 * prefix + bits) < merged.get(k, key + 1):
+                    merged[k] = key
         live = merged
-    lcm, tm, offer = stages[-1]
-    k, key = min(((hit[0], 2 * prefix + bits) for r, prefix in live.items() for v, bits in offer
-                  if (hit := _merge_congruence(r, lcm, v, tm)) is not None), default=(None, 0))
+    stage = stages[-1]
+    k, key = min(((k, 2 * prefix + bits) for r, prefix in live.items() for v, bits in offers[-1]
+                  if (k := _merge_stage(r, v, stage)) is not None), default=(None, 0))
     if k is None:
         return ReachAnswer(False, None, None)
-    return ReachAnswer(True, k, tuple(key >> i & 1 for i in reversed(range(grid.p))))
+    return ReachAnswer(True, k, tuple(key >> i & 1 for i in reversed(range(p))))
 
 
 def light_reachable(grid: GridSpec, source: Point, mask: DirectionMask,
@@ -324,11 +322,11 @@ def light_reachable_oracle(grid: GridSpec, source: Point, mask: DirectionMask,
     ``2*lcm(dims)`` period.  Kept independent as a cross-check.
 
     The walk is :func:`kernels.first_visit`: in blocks of
-    :data:`kernels.BLOCK` steps it builds the encoded point of every step
-    (the point column that :func:`kernels.reach_scan`'s first-visit walk also
-    reads), finds the first step at ``target`` with ``list.index``, and reads
-    the sign bits of that one step.  It stops after the first block that
-    visits ``target``.
+    :data:`kernels.BLOCK` steps it ANDs, per coordinate, the bit mask of the
+    steps at which that coordinate sits at the target's, takes the first step
+    left, and reads the sign bits of that one step.  It stops after the first
+    block that visits ``target``.  The source is lifted once, unvalidated:
+    it was validated above.
     """
     validate_point(grid, source)
     validate_point(grid, target)
@@ -336,8 +334,8 @@ def light_reachable_oracle(grid: GridSpec, source: Point, mask: DirectionMask,
     period = step_length(grid)
     check_budget(period, "period steps")
     p = grid.p
-    u = lift(grid, source, mask).residues
-    code = kernels.first_visit(grid.dims, u, encode_point(grid, target), period)
+    u = _lift_residues(grid, source, mask)
+    code = kernels.first_visit(grid.dims, u, target.coords, period)
     if code is None:
         return ReachAnswer(False, None, None)
     k, signs = divmod(code, 1 << p)

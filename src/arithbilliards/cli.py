@@ -198,9 +198,10 @@ def cmd_render(args) -> tuple[dict, int]:
         paths = [p for p in paths if p.kind is billiards.PathKind.OPEN]
     elif args.paths == "closed":
         paths = [p for p in paths if p.kind is billiards.PathKind.CLOSED]
-    # RenderOptions holds the one default palette
-    palette = {} if args.palette is None else {"palette": args.palette.split(",")}
-    opts = render.RenderOptions(cell_size=args.cell_size, margin=args.margin, **palette)
+    # RenderOptions holds the one set of defaults: pass only the options given
+    given = {"cell_size": args.cell_size, "margin": args.margin,
+             "palette": None if args.palette is None else args.palette.split(",")}
+    opts = render.RenderOptions(**{k: v for k, v in given.items() if v is not None})
     svg = render.render_grid(grid, paths, opts)
     data = svg.encode("utf-8")
     with open(args.out, "wb") as fh:
@@ -281,8 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True)
     p.add_argument("--out", required=True, help="output SVG file")
     p.add_argument("--paths", choices=["all", "open", "closed"], default="all")
-    p.add_argument("--cell-size", type=int, default=40)
-    p.add_argument("--margin", type=int, default=20)
+    p.add_argument("--cell-size", type=int, help="pixels per grid cell")
+    p.add_argument("--margin", type=int, help="pixels around the grid")
     p.add_argument("--palette", help="comma-separated stroke colors")
     p.set_defaults(func=cmd_render)
     return parser

@@ -248,11 +248,13 @@ def lift(grid: GridSpec, point: Point, mask: DirectionMask) -> PhaseState:
     """
     validate_point(grid, point)
     validate_mask(grid, mask)
-    residues = tuple(
-        x if s == 0 else (tm - x) % tm
-        for x, s, tm in zip(point.coords, mask.signs, grid.two_m)
-    )
-    return PhaseState(residues)
+    return PhaseState(_lift_residues(grid, point, mask))
+
+
+def _lift_residues(grid: GridSpec, point: Point, mask: DirectionMask) -> tuple[int, ...]:
+    """The residues of :func:`lift`, for a point and mask already validated."""
+    return tuple([x if s == 0 else (tm - x) % tm
+                  for x, s, tm in zip(point.coords, mask.signs, grid.two_m)])
 
 
 def step(grid: GridSpec, state: PhaseState) -> PhaseState:
@@ -338,6 +340,38 @@ def _merge_congruence(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | N
     t = (diff // g) * pow(m1 // g, -1, mg) % mg
     m = m1 // g * m2
     return (r1 + m1 * t) % m, m
+
+
+def crt_stages(moduli) -> list[tuple[int, int, int, int, int]]:
+    """Constants for merging ``k = v_i (mod moduli[i])`` one modulus at a time.
+
+    Entry ``i`` is ``(lcm, modulus, g, lcm // g, inv)``: ``lcm`` is the lcm of
+    the moduli before ``i`` (1 for the first), ``g`` its gcd with
+    ``modulus``, and ``inv`` the inverse of ``lcm // g`` modulo
+    ``modulus // g``.  Then ``k = r (mod lcm)`` and ``k = v (mod modulus)``
+    are compatible iff ``g`` divides ``v - r``, and their least common
+    solution is ``r + (lcm // g) * ((v - r) * inv % modulus)`` for
+    ``0 <= r < lcm`` (``g`` divides both ``(v - r) * inv`` and ``modulus``,
+    so that remainder is ``g`` times the number of ``lcm`` steps, taken
+    modulo ``modulus // g``).  No gcd or inverse is taken per merge.
+    """
+    stages = []
+    lcm = 1
+    for tm in moduli:
+        g = math.gcd(lcm, tm)
+        stages.append((lcm, tm, g, lcm // g, pow(lcm // g, -1, tm // g)))
+        lcm = lcm // g * tm
+    return stages
+
+
+def _merge_stage(r: int, v: int, stage) -> int | None:
+    """Least ``k >= 0`` with ``k = r (mod lcm)`` and ``k = v (mod modulus)``
+    for one :func:`crt_stages` entry, ``0 <= r < lcm``; None if incompatible."""
+    lcm, tm, g, lcm_g, inv = stage
+    diff = v - r
+    if diff % g:
+        return None
+    return r + lcm_g * (diff * inv % tm)
 
 
 def solve_congruences(residues, moduli) -> int | None:

@@ -4,13 +4,13 @@ The library answers from the paper's closed forms; these walks iterate the
 phase dynamics instead and are what the test suite checks those forms
 against.  Each walk exists once: :func:`least_closure` and
 :func:`period_sums` are the bodies of :func:`billiards.first_closure` and
-:func:`billiards.coordinate_sums`; :func:`_point_column` is the reachability
-walk, read for every point by :func:`first_visits` (in :func:`reach_scan`)
-and for one target by :func:`first_visit` (in
-:func:`billiards.light_reachable_oracle`); :func:`_mark_orbit` is the orbit
-walk of :func:`trace_paths` (run for a seed and its reversal);
-:func:`bfs_from` is the diagonal-move BFS of :func:`bfs_components` and
-:func:`walks.find_walk_bfs`; and :func:`parity_counts` is the point count of
+:func:`billiards.coordinate_sums`; :func:`first_visit` is the one-target
+reachability walk of :func:`billiards.light_reachable_oracle`, and
+:func:`reach_scan` walks every source lift of a block at once, against
+every target; :func:`_mark_orbit` is the orbit walk of :func:`trace_paths`
+(run for a seed and its reversal); :func:`bfs_from` is the diagonal-move
+BFS of :func:`bfs_components` and :func:`walks.find_walk_bfs`; and
+:func:`parity_counts` is the point count of
 :func:`walks.orbit_sizes_bruteforce`.
 
 Column walks.  A trajectory is walked in blocks of at most :data:`BLOCK`
@@ -18,13 +18,14 @@ steps.  Within a block each coordinate is stepped once around its own phase
 circle, over at most ``min(2*m_i, n)`` residues for an ``n``-step block, and
 that column is repeated out to the block.  The joint walk over the block is
 then done by C-level operations instead of one Python step at a time: list
-and string repetition, ``map``/``zip`` (sums of stride-scaled columns give
-encoded states), a dict built in reverse for first visits, ``list.index``
-for the first visit to one target, and AND of integer bit masks for "every
-coordinate matches at step k".  A column never holds more than one block, so
-a short walk on a grid with a long side costs O(steps), not O(m_i).  The
-closure mask of one coordinate marks where its at most two matching residues
-fall in the block, each a run of bits ``2*m_i`` apart.
+repetition, ``map``/``zip`` (sums of stride-scaled columns give encoded
+states), and AND of integer bit masks for "every coordinate matches at step
+k".  A column never holds more than one block, so a short walk on a grid
+with a long side costs O(steps), not O(m_i).  The mask of one coordinate
+(:func:`_residue_mask`) marks where its at most two matching residues fall
+in the block, each a run of bits ``2*m_i`` apart.  :func:`reach_scan` walks
+a block of sources at once, each step's column per coordinate read from a
+per-grid table by residue (:func:`_residue_columns`).
 
 The per-point tables are tiled the same way (:func:`_tile`): one column per
 coordinate, combined by one ``map`` per column entry with the table of the
@@ -62,9 +63,11 @@ exhaustive:
 - :func:`reach_scan` lifts every (source, mask) pair to its phase state and
   decides each distinct lift once, against every target, by both methods.
   Triples with equal source lifts give both sides identical inputs, so each
-  gets the verdict it would get alone.  Its other per-grid tables are the
-  CRT solutions by residue difference (the law side), tiled out to every
-  doubled-axis difference, and the lifts of each target.
+  gets the verdict it would get alone.  Lifts are decided a block at a
+  time, each reading the same table entries it would read alone.  Its other
+  per-grid tables are the CRT solutions by residue difference (the law
+  side), tiled out to every doubled-axis difference, and the lifts of each
+  target.
 
 All functions take plain dimension lists and return plain ints, lists or
 dicts.  Callers are responsible for validation and budget checks; these
@@ -76,7 +79,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from functools import reduce
 from operator import add, and_, getitem, itemgetter, ne, xor
 
@@ -85,6 +88,7 @@ from arithbilliards.core import decode_digits, encode_digits, solve_congruences
 BACKEND = "python"
 BLOCK = 1024  # steps per block of a column walk
 PARITY_BLOCK = 1 << 14  # points per block of parity codes
+REACH_BLOCK = 1 << 13  # (source lift, target lift) pairs per block of reach_scan
 
 
 def trace_paths(two_m) -> list[tuple[int, int]]:
@@ -161,29 +165,37 @@ def _tile(columns, op, table):
     return table
 
 
+def _residue_mask(residues, u: int, tm: int, k0: int, n: int) -> int:
+    """Bit mask over the steps ``k0 .. k0+n-1`` (first step most significant)
+    at which a coordinate started at residue ``u`` sits at one of
+    ``residues``.  Each one recurs every ``tm`` steps, so its bits are one
+    repunit in base ``2**tm``, shifted to its first step in the block."""
+    mask = 0
+    for r in residues:
+        j = (r - u - k0) % tm  # first step of the block at residue r
+        if j < n:
+            count = (n - 1 - j) // tm + 1
+            # a coordinate whose circle outruns the block matches there once
+            repunit = ((1 << count * tm) - 1) // ((1 << tm) - 1) if count > 1 else 1
+            mask |= repunit << (n - 1 - j - (count - 1) * tm)
+    return mask
+
+
 def _closure_mask(u: int, tm: int, k0: int, n: int) -> int:
     """Bit mask over the steps ``k0 .. k0+n-1`` (first step most significant)
     at which a coordinate started at residue ``u`` re-reads both its start
     position and the position one step before the start.
 
     Two residues give the same position iff they are equal or mirrored
-    (``u`` and ``2*m - u``), so at most two residues match.  Each one recurs
-    every ``tm`` steps, so its bits are one repunit in base ``2**tm``,
-    shifted to its first step in the block.
+    (``u`` and ``2*m - u``), so at most two residues match
+    (:func:`_residue_mask`).
     """
     back = (u - 1) % tm
     # residues reading the start position, and residues one step after
     # one reading the position before the start
     starts = {u, (tm - u) % tm}
     afters = {(back + 1) % tm, (tm - back + 1) % tm}
-    mask = 0
-    for r in starts & afters:
-        j = (r - u - k0) % tm  # first step of the block at residue r
-        if j < n:
-            count = (n - 1 - j) // tm + 1
-            repunit = ((1 << count * tm) - 1) // ((1 << tm) - 1)
-            mask |= repunit << (n - 1 - j - (count - 1) * tm)
-    return mask
+    return _residue_mask(starts & afters, u, tm, k0, n)
 
 
 def _least_closures(two_m, states, limit: int) -> dict:
@@ -241,60 +253,84 @@ def least_closure_violations(dims) -> int:
     return sum(k != period for k in _least_closures(two_m, states, period).values())
 
 
-def _point_column(dims, residues, start: int, n: int) -> list[int]:
-    """Encoded point of each step ``start .. start+n-1`` of the walk from the
-    phase state ``residues``: each coordinate's positions ``m_i - |m_i - r_i|``
-    over one turn, scaled by its stride and repeated out to the block."""
-    points = None
-    stride = 1
-    for i in range(len(dims) - 1, -1, -1):
-        m = dims[i]
-        col = _repeat([(m - abs(m - r)) * stride for r in _turn(residues[i], 2 * m, start, n)], n)
-        points = col if points is None else map(add, points, col)
-        stride *= m + 1
-    return list(points)
-
-
-def first_visits(dims, residues, start: int, n: int) -> dict[int, int]:
-    """First visits of the walk over steps ``start .. start+n-1`` from the
-    phase state ``residues``.
-
-    Maps the index of every point visited to ``k * 2**p + signs``, where
-    ``k`` is the least such step and bit ``p-1-i`` of ``signs`` is set when
+def first_visit(dims, residues, target, limit: int) -> int | None:
+    """First visit to the point with coordinates ``target`` in the steps
+    ``0 .. limit-1`` of the walk from the phase state ``residues``, as
+    ``k * 2**p + signs``, where bit ``p-1-i`` of ``signs`` is set when
     coordinate ``i`` is on its descending branch there (residue above
-    ``m_i``, so not equal to the position).
+    ``m_i``); None if there is none.
+
+    Per block, each coordinate contributes the bit mask of the steps at which
+    it sits at its target coordinate, on either branch (residue ``t_i`` or
+    ``2*m_i - t_i``, :func:`_residue_mask`), and the AND of the masks marks
+    the steps at which the walk is at ``target``.  Only the first such step
+    has its sign bits read.
+    """
+    at_target = [{t, (2 * m - t) % (2 * m)} for t, m in zip(target, dims)]
+    for k0 in range(0, limit, BLOCK):
+        n = min(BLOCK, limit - k0)
+        hits = reduce(and_, [_residue_mask(r, u, 2 * m, k0, n)
+                             for r, u, m in zip(at_target, residues, dims)])
+        if hits:
+            code = k = k0 + n - hits.bit_length()
+            for u, m in zip(residues, dims):
+                code = 2 * code + ((u + k) % (2 * m) > m)
+            return code
+    return None
+
+
+def _block_shape(two_m, cap: int) -> list[int]:
+    """How many consecutive residues of each coordinate one block of
+    :func:`reach_scan` sources spans: every residue of the last coordinates
+    while at most ``cap`` sources fit, then a run of the next coordinate
+    (the largest divisor of its ``2*m_i`` that still fits, so that its runs
+    tile the circle), and one residue of each coordinate before."""
+    lens = [1] * len(two_m)
+    size = 1
+    for i in reversed(range(len(two_m))):
+        tm = two_m[i]
+        lens[i] = max(d for d in range(1, tm + 1) if tm % d == 0 and size * d <= cap)
+        if lens[i] < tm:
+            break
+        size *= tm
+    return lens
+
+
+def _residue_columns(dims, lens, n_points: int):
+    """Per coordinate and residue ``r``, the key and sign columns of
+    :func:`reach_scan`'s walk over a block of sources.
+
+    A block takes ``lens[i]`` consecutive residues ``s_i + q_i`` of each
+    coordinate, in mixed-radix order (source ``j = sum(q_i * inner_i)``).
+    At step ``k``, with ``r = s_i + k``, the key column holds for each source
+    coordinate ``i``'s share of the visit key ``j * n_points + point``:
+    ``(m_i - |m_i - (r + q_i)|) * point_stride_i + q_i * inner_i * n_points``.
+    The sign column holds its sign bit, set on the descending branch.
     """
     p = len(dims)
-    signs = None
-    for i, m in enumerate(dims):
+    keys, signs = [], []
+    for i, (m, n) in enumerate(zip(dims, lens)):
+        stride = math.prod(x + 1 for x in dims[i + 1:])
+        inner, outer = math.prod(lens[i + 1:]), math.prod(lens[:i])
         bit = 1 << (p - 1 - i)
-        col = _repeat([0 if r <= m else bit for r in _turn(residues[i], 2 * m, start, n)], n)
-        signs = col if signs is None else map(add, signs, col)
-    points = _point_column(dims, residues, start, n)
-    codes = list(map(add, range(start << p, (start + n) << p, 1 << p), signs))
-    # built in reverse, so the earliest step of each point is written last
-    return dict(zip(reversed(points), reversed(codes)))
+        key_cols, sign_cols = [], []
+        for r in range(2 * m):
+            turn = _turn(r, 2 * m, 0, n)
+            key = [(m - abs(m - x)) * stride + q * inner * n_points for q, x in enumerate(turn)]
+            key_cols.append(_spread(key, inner, outer))
+            sign_cols.append(_spread([bit if x > m else 0 for x in turn], inner, outer))
+        keys.append(key_cols)
+        signs.append(sign_cols)
+    return keys, signs
 
 
-def first_visit(dims, residues, target: int, limit: int) -> int | None:
-    """First visit to the point ``target`` in the steps ``0 .. limit-1`` of
-    the walk from ``residues``, as ``k * 2**p + signs`` like
-    :func:`first_visits`; None if there is none.
-
-    Each block's point column (the one :func:`first_visits` reads) is
-    searched for the target with ``list.index``, and only the step found has
-    its sign bits read.
-    """
-    for k0 in range(0, limit, BLOCK):
-        try:
-            j = _point_column(dims, residues, k0, min(BLOCK, limit - k0)).index(target)
-        except ValueError:
-            continue
-        code = k = k0 + j
-        for u, m in zip(residues, dims):
-            code = 2 * code + ((u + k) % (2 * m) > m)
-        return code
-    return None
+def _spread(column, inner: int, outer: int) -> list[int]:
+    """One coordinate's ``column`` over a block of sources in mixed-radix
+    order: each entry repeated ``inner`` times, the whole ``outer`` times.
+    All C-level; :func:`_tile` would run Python once per entry of every
+    coordinate's column."""
+    return list(itertools.chain.from_iterable(
+        map(itertools.repeat, column, itertools.repeat(inner)))) * outer
 
 
 def reach_scan(dims) -> tuple[int, int]:
@@ -302,10 +338,10 @@ def reach_scan(dims) -> tuple[int, int]:
 
     For every (source point, direction mask, target point) triple, decides
     reachability twice: by merging per-coordinate congruences, and by walking
-    the full 2*lcm period and recording first visits (:func:`first_visits`).
-    Answers must agree on reachability, least witness, and the sign choice of
-    the target lift.  Triples whose (source, mask) pairs lift to the same
-    phase state are decided once and counted once each.
+    the full 2*lcm period and recording first visits.  Answers must agree on
+    reachability, least witness, and the sign choice of the target lift.
+    Triples whose (source, mask) pairs lift to the same phase state are
+    decided once and counted once each.
 
     Both sides write an answer as ``k * 2**p + signs``, and "unreachable" as
     one value above every answer either side can give.  The law side takes,
@@ -314,16 +350,27 @@ def reach_scan(dims) -> tuple[int, int]:
     lexicographically first signs), each from the CRT solution for the
     residue difference between that lift and the source lift.
 
+    Source lifts are decided in blocks (:func:`_block_shape`) of at most
+    ``max(1, REACH_BLOCK // prod(2*m_i))``, so a block of more than one
+    reads at most :data:`REACH_BLOCK` law answers (one per source and target
+    lift).  Per block, the walk streams every step, in descending order,
+    into one first-visit table indexed by visit key ``j * n_points +
+    point``, from per-coordinate columns (:func:`_residue_columns`); the law
+    side reads one slice of the CRT table at every (source, target lift)
+    with one ``itemgetter``; and one comparison weights each verdict by the
+    (source, mask) pairs sharing its lift.
+
     Returns ``(n_checked, n_mismatch)``.
     """
     dims = list(dims)
     p = len(dims)
     two_m = [2 * m for m in dims]
     period = math.lcm(*two_m)
-    n_signs = 1 << p
+    n_states = math.prod(two_m)
+    strides = [math.prod(two_m[i + 1:]) for i in range(p)]
 
     # Least solution per residue-difference vector, solved once by CRT merge.
-    crt = [solve_congruences(decode_digits(d, two_m), two_m) for d in range(math.prod(two_m))]
+    crt = [solve_congruences(d, two_m) for d in itertools.product(*map(range, two_m))]
     unreachable = max([period] + [k + 1 for k in crt if k is not None]) << p
     # Every axis doubled, so the difference (v_i - u_i) mod 2*m_i of a target
     # lift v and a source lift u is read at v_i + 2*m_i - u_i, and one slice
@@ -331,52 +378,95 @@ def reach_scan(dims) -> tuple[int, int]:
     pad_strides = [math.prod(2 * tm for tm in two_m[i + 1:]) for i in range(p)]
     keys = [unreachable if k is None else k << p for k in crt]
     pad = list(map(keys.__getitem__, _tile(
-        [[j % tm * math.prod(two_m[i + 1:]) for j in range(2 * tm)] for i, tm in enumerate(two_m)],
+        [[j % tm * stride for j in range(2 * tm)] for tm, stride in zip(two_m, strides)],
         add, [0])))
     # The lifts of each target: the distinct phase states projecting onto it,
-    # each with the least sign bits giving it (a coordinate at 0 or m_i has
-    # one residue for both signs).  A target with c coordinates off the walls
-    # has 2**c lifts; targets are grouped by c so that each group's answers
-    # are taken in runs of one length.
-    groups = [[] for _ in range(p + 1)]
+    # in sign order, each with its sign bits (a coordinate at 0 or m_i has
+    # one residue for both signs and takes sign 0).  A target with c
+    # coordinates off the walls has 2**c lifts; targets are grouped by c so
+    # that each group's answers are taken in runs of one length.
+    group_pids, group_index, group_signs = ([[] for _ in range(p + 1)] for _ in range(3))
     points = list(itertools.product(*[range(m + 1) for m in dims]))
     for pid, tgt in enumerate(points):
-        lifted: dict[int, int] = {}
-        for sig in range(n_signs):
-            lifted.setdefault(sum(
-                (t if not sig >> (p - 1 - i) & 1 else (tm - t) % tm) * stride
-                for i, (t, tm, stride) in enumerate(zip(tgt, two_m, pad_strides))
-            ), sig)
-        groups[len(lifted).bit_length() - 1].append((pid, lifted))
-    targets = [pid for group in groups for pid, _ in group]
-    runs = [(1 << c, len(group)) for c, group in enumerate(groups) if group]
-    lift_index = [v for group in groups for _, lifted in group for v in lifted]
-    lifts = itemgetter(*lift_index)
-    lift_signs = [sig for group in groups for _, lifted in group for sig in lifted.values()]
-    span = max(lift_index) + 1
+        index, signs = [0], [0]
+        for i, (t, m, stride) in enumerate(zip(tgt, dims, pad_strides)):
+            if 0 < t < m:
+                index = [v + w for v in index for w in (t * stride, (2 * m - t) * stride)]
+                signs = [s + b for s in signs for b in (0, 1 << (p - 1 - i))]
+            else:
+                index = [v + t * stride for v in index]
+        c = len(index).bit_length() - 1
+        group_pids[c].append(pid)
+        group_index[c] += index
+        group_signs[c] += signs
+    n_points = len(points)
 
-    # Every (source, mask) pair lifted to its phase state; a source coordinate
-    # on a wall lifts alike under both signs, so pairs share lifts and each
+    # Every (source, mask) pair lifted to its phase state: a source coordinate
+    # on a wall lifts alike under both signs, so pairs share lifts, and each
     # distinct lift is decided once and counted once per pair giving it.
-    shared = Counter(
-        tuple(x if not (maskbits >> (p - 1 - i)) & 1 else (tm - x) % tm
-              for i, (x, tm) in enumerate(zip(src, two_m)))
-        for src in points for maskbits in range(n_signs)
-    )
+    shared = Counter(_tile(
+        [[(x if not a else (tm - x) % tm) * stride for x in range(m + 1) for a in (0, 1)]
+         for m, tm, stride in zip(dims, two_m, strides)], add, [0]))
+
+    lens = _block_shape(two_m, max(1, REACH_BLOCK // n_states))
+    size = math.prod(lens)
+    key_cols, sign_cols = _residue_columns(dims, lens, n_points)
+    # Source j of a block starting at lift s is s + q: its state index is
+    # s's plus rel_state[j], and its slice of the CRT table starts rel_pad[j]
+    # before s's.  The law answers of a block are read group by group, source
+    # by source, target by target and lift by lift, so the least per target
+    # is taken over one run per group; the walk's table is read in that order.
+    rel_state = _tile([[q * stride for q in range(n)] for n, stride in zip(lens, strides)],
+                      add, [0])
+    rel_pad = _tile([[q * stride for q in range(n)] for n, stride in zip(lens, pad_strides)],
+                    add, [0])
+    shifts = [rel_pad[-1] - rel for rel in rel_pad]
+    offsets = range(0, size * n_points, n_points)
+    reads, lift_signs, visit_order, runs = [], [], [], []
+    for c, (pids, index, signs) in enumerate(zip(group_pids, group_index, group_signs)):
+        reads += map(add, index * size, _spread(shifts, len(index), 1))
+        lift_signs += signs * size
+        visit_order += map(add, pids * size, _spread(offsets, len(pids), 1))
+        runs.append((1 << c, len(pids)))
+    read_law = itemgetter(*reads)
+    read_oracle = itemgetter(*visit_order)
+    span = max(reads) + 1
+    # step k's share of each answer, k descending, once per source of a block
+    steps = range((period - 1) << p, -1, -1 << p)
+
     checked = 0
     mismatch = 0
-    for u, times in shared.items():
-        offset = sum((tm - ui) * stride for ui, tm, stride in zip(u, two_m, pad_strides))
-        answers = map(add, lifts(pad[offset:offset + span]), lift_signs)
+    for starts in itertools.product(*[range(0, tm, n) for tm, n in zip(two_m, lens)]):
+        visit_keys = visit_signs = None
+        for cols_k, cols_s, s, tm in zip(key_cols, sign_cols, starts, two_m):
+            # the columns of the steps period-1 .. 0: residues s+k descending, cycled
+            order = [(s + k) % tm for k in range(tm - 1, -1, -1)] * (period // tm)
+            col_k = itertools.chain.from_iterable(map(cols_k.__getitem__, order))
+            col_s = itertools.chain.from_iterable(map(cols_s.__getitem__, order))
+            visit_keys = col_k if visit_keys is None else map(add, visit_keys, col_k)
+            visit_signs = col_s if visit_signs is None else map(add, visit_signs, col_s)
+        codes = map(add, visit_signs, itertools.chain.from_iterable(
+            map(itertools.repeat, steps, itertools.repeat(size))))
+        # the earliest step of each (source, point) is written last
+        visits = [unreachable] * (size * n_points)
+        deque(map(visits.__setitem__, visit_keys, codes), maxlen=0)
+        oracle = list(read_oracle(visits))
+
+        first = sum((tm - s - n + 1) * stride
+                    for s, n, tm, stride in zip(starts, lens, two_m, pad_strides))
+        answers = map(add, read_law(pad[first:first + span]), lift_signs)
         law = []
-        for size, count in runs:
-            run = itertools.islice(answers, size * count)
-            law += run if size == 1 else map(min, *[run] * size)
-        seen = first_visits(dims, u, 0, period)
-        oracle = map(seen.get, targets, itertools.repeat(unreachable))
-        verdicts = list(map(ne, law, oracle))
-        mismatch += times * sum(verdicts)
-        checked += times * len(verdicts)
+        for run_size, count in runs:
+            run = itertools.islice(answers, run_size * count * size)
+            law += run if run_size == 1 else map(min, *[run] * run_size)
+
+        base = sum(s * stride for s, stride in zip(starts, strides))
+        times = list(map(shared.__getitem__, map(add, rel_state, itertools.repeat(base))))
+        if law != oracle:
+            # in law order: group by group, source by source, target by target
+            weights = [t for _, count in runs for t in times for _ in range(count)]
+            mismatch += sum(itertools.compress(weights, map(ne, law, oracle)))
+        checked += n_points * sum(times)
     return checked, mismatch
 
 

@@ -150,26 +150,30 @@ def _polyline(tables, columns, n: int, color: str) -> str:
 def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str:
     """Render a 2-D grid with the given Trajectory/Path items as an SVG document.
 
-    The budget bounds the vertices drawn for Path items.  A Trajectory must
-    lie on the grid.
+    The budget bounds the vertices drawn (of Path and Trajectory items alike)
+    plus the interior grid lines, and is charged before anything is built.
+    A Trajectory must lie on the grid.
     """
     if grid.p != 2:
         raise ValueError(f"rendering requires a 2-D grid, got {grid.p} dimensions")
     opts = opts or RenderOptions()
     if not opts.palette:
         raise ValueError("palette must not be empty")
-    # one validating pass: each Path's vertex count, each Trajectory's columns
-    drawn = []
-    for item in paths:
+    # each item's vertex count (each Path validated on the way), charged
+    # with the interior grid lines before any column or text is built
+    items = list(paths)
+    counts = []
+    for item in items:
         if isinstance(item, Path):
-            drawn.append((item, _path_steps(grid, item) + 1))
+            counts.append(_path_steps(grid, item) + 1)
         elif isinstance(item, Trajectory):
-            columns = _trajectory_columns(grid, item)
-            drawn.append((columns, len(columns[0])))
+            counts.append(len(item.points))
         else:
             raise TypeError(f"cannot render {type(item).__name__}")
-    check_budget(sum(n for item, n in drawn if isinstance(item, Path)), "path vertices")
     m1, m2 = grid.dims
+    check_budget(sum(counts) + m1 - 1 + m2 - 1, "drawn vertices and grid lines")
+    drawn = [(item if isinstance(item, Path) else _trajectory_columns(grid, item), n)
+             for item, n in zip(items, counts)]
     cell = opts.cell_size
     margin = opts.margin
     width = 2 * margin + cell * m1

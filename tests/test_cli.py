@@ -219,7 +219,7 @@ class TestReach:
         def never(*args):
             raise AssertionError("a congruence was merged past the budget check")
 
-        monkeypatch.setattr(billiards, "_merge_congruence", never)
+        monkeypatch.setattr(billiards, "_merge_stage", never)
         monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 3)
         code, doc = run(capsys, "reach", "--dims", "6,4", "--from", "0,3", "--to", "3,4",
                         *direction)
@@ -326,6 +326,25 @@ class TestRender:
         assert run(capsys, "render", "--dims", "6,4", "--out", str(out))[0] == 0
         g = core.GridSpec((6, 4))
         assert out.read_bytes() == render.render_grid(g, billiards.enumerate_paths(g)).encode()
+
+    def test_no_flags_follow_the_library_defaults(self, capsys, tmp_path, monkeypatch):
+        # the CLI holds no copy of RenderOptions' defaults: moved in the
+        # library, they move the CLI's drawing with them
+        monkeypatch.setattr(render.RenderOptions.__init__, "__defaults__", (7, 3, ("red",)))
+        out = tmp_path / "fig.svg"
+        assert run(capsys, "render", "--dims", "6,4", "--out", str(out))[0] == 0
+        g = core.GridSpec((6, 4))
+        expected = render.render_grid(g, billiards.enumerate_paths(g))
+        assert 'width="48"' in expected
+        assert out.read_bytes() == expected.encode()
+
+    def test_flags_override_the_defaults(self, capsys, tmp_path):
+        out = tmp_path / "fig.svg"
+        assert run(capsys, "render", "--dims", "6,4", "--out", str(out),
+                   "--cell-size", "3", "--margin", "0")[0] == 0
+        g = core.GridSpec((6, 4))
+        opts = render.RenderOptions(cell_size=3, margin=0)
+        assert out.read_bytes() == render.render_grid(g, billiards.enumerate_paths(g), opts).encode()
 
     def test_closed_only_when_none_exist(self, capsys, tmp_path):
         out = tmp_path / "none.svg"

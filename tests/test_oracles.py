@@ -139,6 +139,37 @@ class TestPlantedFault:
         assert kernels.reach_scan(list(dims)) == expected
 
 
+class TestReachScanBlocks:
+    """reach_scan decides its source lifts a block at a time: its counts do
+    not depend on the block size, and its blocks bound its memory."""
+
+    # 1: one source per block; 1000: a run of 2 or 3 residues of one
+    # coordinate after whole later ones; 1 << 20: every source in one block
+    @pytest.mark.parametrize("block", [1, 1000, 1 << 20])
+    @pytest.mark.parametrize("dims,expected", [
+        ((6, 4), (4900, 264)),
+        ((3, 3, 3), (32768, 504)),
+        ((1, 5, 2), (10368, 400)),
+    ])
+    def test_planted_fault_counts_for_any_block(self, monkeypatch, block, dims, expected):
+        solve = kernels.solve_congruences
+
+        def faulty(residues, moduli):
+            r = solve(residues, moduli)
+            return r + 1 if r is not None and r % 7 == 3 else r
+
+        monkeypatch.setattr(kernels, "solve_congruences", faulty)
+        monkeypatch.setattr(kernels, "REACH_BLOCK", block)
+        assert kernels.reach_scan(list(dims)) == expected
+
+    def test_memory_stays_blocked(self):
+        # between a walk of one source lift at a time (0.71 MB) and one
+        # unblocked batch of all 1,728 lifts (12-17 MB)
+        result, peak = peak_bytes(lambda: kernels.reach_scan([6, 6, 6]))
+        assert result == (7**6 * 2**3, 0)
+        assert peak < 2 << 20
+
+
 class TestPlantedFaultInTables:
     """A fault in the per-coordinate helper that a sweep tabulates once per
     residue, and that its per-state function calls directly, is counted by

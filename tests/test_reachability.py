@@ -128,7 +128,7 @@ class TestOracleEquivalence:
         def never(*args):
             raise AssertionError("a congruence was merged past the budget check")
 
-        monkeypatch.setattr(billiards, "_merge_congruence", never)
+        monkeypatch.setattr(billiards, "_merge_stage", never)
         monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", any_merges - 1)
         with pytest.raises(BudgetExceededError):
             light_reachable_any(g, src, dst)

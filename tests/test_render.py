@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from arithbilliards import core, render
 from arithbilliards.billiards import Path, PathKind, Trajectory, enumerate_paths, simulate
 from arithbilliards.core import BudgetExceededError, GridSpec, PhaseState, Point
 from arithbilliards.render import RenderOptions, render_grid
@@ -180,3 +181,27 @@ class TestErrors:
         g = GridSpec((999983, 999979))
         with pytest.raises(BudgetExceededError):
             render_grid(g, enumerate_paths(g))
+
+    def test_grid_lines_charged(self, monkeypatch):
+        # 999,999 interior lines and nothing else to draw: refused before a
+        # line is formatted
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 10**6 - 2)
+        _, peak = peak_bytes(lambda: render_grid(GridSpec((10**6, 1)), []),
+                             raises=BudgetExceededError)
+        assert peak < 1 << 16
+
+    def test_budget_counts_lines_and_every_vertex(self, monkeypatch):
+        # 6x4: 5 + 3 interior lines, 25 path vertices, 31 trajectory points
+        g = GridSpec((6, 4))
+        (closed,) = [p for p in enumerate_paths(g) if p.kind is PathKind.CLOSED]
+        traj = simulate(g, Point((0, 3)), ASC2, 30)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 8 + 25 + 31)
+        assert render_grid(g, [closed, traj]).count("<polyline") == 2
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 8 + 25 + 31 - 1)
+
+        def never(*args):
+            raise AssertionError("a trajectory was read past the budget check")
+
+        monkeypatch.setattr(render, "_trajectory_columns", never)
+        with pytest.raises(BudgetExceededError):
+            render_grid(g, [closed, traj])
