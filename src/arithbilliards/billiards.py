@@ -323,20 +323,20 @@ def light_reachable_oracle(grid: GridSpec, source: Point, mask: DirectionMask,
 
     The walk is :func:`kernels.first_visit`: in blocks of
     :data:`kernels.BLOCK` steps it ANDs, per coordinate, the bit mask of the
-    steps at which that coordinate sits at the target's, takes the first step
-    left, and reads the sign bits of that one step.  It stops after the first
-    block that visits ``target``.  The source is lifted once, unvalidated:
-    it was validated above.
+    steps at which that coordinate sits at the target's (stopping at the
+    first empty mask), takes the first step left, and reads the signs of
+    that one step.  It stops after the first block that visits ``target``.
+    The masks are looked up in a bounded table keyed by plain ints, so a
+    sweep over the targets of one source builds each coordinate's masks once.
+    The source is lifted once, unvalidated: it was validated above.
     """
     validate_point(grid, source)
     validate_point(grid, target)
     validate_mask(grid, mask)
     period = step_length(grid)
     check_budget(period, "period steps")
-    p = grid.p
     u = _lift_residues(grid, source, mask)
-    code = kernels.first_visit(grid.dims, u, target.coords, period)
-    if code is None:
+    found = kernels.first_visit(grid.dims, u, target.coords, period)
+    if found is None:
         return ReachAnswer(False, None, None)
-    k, signs = divmod(code, 1 << p)
-    return ReachAnswer(True, k, tuple(signs >> (p - 1 - i) & 1 for i in range(p)))
+    return ReachAnswer(True, *found)

@@ -24,8 +24,17 @@ k".  A column never holds more than one block, so a short walk on a grid
 with a long side costs O(steps), not O(m_i).  The mask of one coordinate
 (:func:`_residue_mask`) marks where its at most two matching residues fall
 in the block, each a run of bits ``2*m_i`` apart.  :func:`reach_scan` walks
-a block of sources at once, each step's column per coordinate read from a
-per-grid table by residue (:func:`_residue_columns`).
+a block of sources at once, and streams its law side the same way: each
+entry's column per coordinate is read from one per-grid table by residue
+(:func:`_residue_columns`), the walk's entries being its steps and the law
+side's the residue-difference vectors the CRT solves.  The per-call walks
+read their masks from two tables bounded at :data:`MASKS` entries
+(``functools.lru_cache``) and keyed by plain ints, :func:`_closure_mask` by
+(residue, ``2*m_i``, block) and :func:`_target_mask` by (target coordinate,
+residue, ``m_i``, block); a mask is a pure function of its key, so a hit is
+the mask the walk would build and every step is still examined, while a
+sweep over one grid's states or targets builds at most ``sum(2*m_i)``
+distinct masks per block.
 
 The per-point tables are tiled the same way (:func:`_tile`): one column per
 coordinate, combined by one ``map`` per column entry with the table of the
@@ -54,20 +63,21 @@ count it once per state or triple that shares it, which keeps them
 exhaustive:
 
 - :func:`least_closure_violations` and :func:`coordinate_sum_violations`
-  tabulate, per coordinate and residue, the block's closure mask
+  tabulate, per coordinate and residue, the first block's closure mask
   (:func:`_closure_mask`) or the period sum (:func:`_period_sum`).  A table
   entry is a pure function of one coordinate's own residue, built by the
   same helper the per-state function calls; it uses no CRT, no gcd/lcm law
   and no orbit or shift structure.  Each state then combines its own ``p``
-  entries.
+  entries: the closure masks are ANDed over every state at once by
+  :func:`_tile`, and a state still open after that block walks on alone.
 - :func:`reach_scan` lifts every (source, mask) pair to its phase state and
   decides each distinct lift once, against every target, by both methods.
   Triples with equal source lifts give both sides identical inputs, so each
   gets the verdict it would get alone.  Lifts are decided a block at a
-  time, each reading the same table entries it would read alone.  Its other
-  per-grid tables are the CRT solutions by residue difference (the law
-  side), tiled out to every doubled-axis difference, and the lifts of each
-  target.
+  time, each streaming the same entries it would stream alone.  The law
+  side's per-grid input is the list of solved residue-difference vectors,
+  each with its CRT answer, solved once per vector: a vector's answer is
+  the same from every source lift.
 
 All functions take plain dimension lists and return plain ints, lists or
 dicts.  Callers are responsible for validation and budget checks; these
@@ -80,15 +90,16 @@ import itertools
 import math
 from array import array
 from collections import Counter, deque
-from functools import reduce
-from operator import add, and_, getitem, itemgetter, ne, xor
+from functools import lru_cache, reduce
+from operator import add, and_, is_not, ne, not_, xor
 
 from arithbilliards.core import decode_digits, encode_digits, solve_congruences
 
 BACKEND = "python"
 BLOCK = 1024  # steps per block of a column walk
 PARITY_BLOCK = 1 << 14  # points per block of parity codes
-REACH_BLOCK = 1 << 13  # (source lift, target lift) pairs per block of reach_scan
+REACH_BLOCK = 1 << 13  # (source lift, point) entries per first-visit table of reach_scan
+MASKS = 256  # entries per table of per-coordinate masks
 
 
 def trace_paths(two_m) -> list[tuple[int, int]]:
@@ -181,6 +192,7 @@ def _residue_mask(residues, u: int, tm: int, k0: int, n: int) -> int:
     return mask
 
 
+@lru_cache(maxsize=MASKS)
 def _closure_mask(u: int, tm: int, k0: int, n: int) -> int:
     """Bit mask over the steps ``k0 .. k0+n-1`` (first step most significant)
     at which a coordinate started at residue ``u`` re-reads both its start
@@ -198,30 +210,28 @@ def _closure_mask(u: int, tm: int, k0: int, n: int) -> int:
     return _residue_mask(starts & afters, u, tm, k0, n)
 
 
-def _least_closures(two_m, states, limit: int) -> dict:
-    """Map each of the distinct ``states`` to its :func:`least_closure`.
+@lru_cache(maxsize=MASKS)
+def _target_mask(t: int, u: int, m: int, k0: int, n: int) -> int:
+    """Bit mask over the steps ``k0 .. k0+n-1`` (first step most significant)
+    at which a coordinate of side ``m`` started at residue ``u`` sits at
+    position ``t``, on either branch (residue ``t`` or ``2*m - t``,
+    :func:`_residue_mask`)."""
+    return _residue_mask({t, (2 * m - t) % (2 * m)}, u, 2 * m, k0, n)
 
-    Per block, each coordinate's :func:`_closure_mask` is built once per
-    residue that a still-open state holds there, and each still-open state
-    ANDs its own ``p`` masks; a state closes in the first block where that
-    AND is nonzero.
-    """
-    closures = dict.fromkeys(states)
-    for k0 in range(1, limit + 1, BLOCK):
-        if not states:
-            break
+
+def _closure_from(two_m, residues, first: int, limit: int) -> int | None:
+    """:func:`least_closure` over the steps ``first .. limit`` only, a block
+    at a time; a block's AND stops at its first empty mask."""
+    for k0 in range(first, limit + 1, BLOCK):
         n = min(BLOCK, limit + 1 - k0)
-        masks = [{u: _closure_mask(u, tm, k0, n) for u in set(column)}
-                 for tm, column in zip(two_m, zip(*states))]
-        still_open = []
-        for state in states:
-            hits = reduce(and_, map(getitem, masks, state))
-            if hits:
-                closures[state] = k0 + n - hits.bit_length()
-            else:
-                still_open.append(state)
-        states = still_open
-    return closures
+        hits = -1
+        for u, tm in zip(residues, two_m):
+            hits &= _closure_mask(u, tm, k0, n)
+            if not hits:
+                break
+        else:
+            return k0 + n - hits.bit_length()
+    return None
 
 
 def least_closure(two_m, residues, limit: int) -> int | None:
@@ -233,49 +243,53 @@ def least_closure(two_m, residues, limit: int) -> int | None:
     it matches (:func:`_closure_mask`), and the AND of the masks marks the
     steps at which all of them do.
     """
-    for k0 in range(1, limit + 1, BLOCK):
-        n = min(BLOCK, limit + 1 - k0)
-        hits = reduce(and_, [_closure_mask(u, tm, k0, n) for u, tm in zip(residues, two_m)])
-        if hits:
-            return k0 + n - hits.bit_length()
-    return None
+    return _closure_from(two_m, residues, 1, limit)
 
 
 def least_closure_violations(dims) -> int:
     """Count states whose :func:`least_closure` differs from 2*lcm(dims).
 
     Expected result is 0: the least full-closure step is always one period.
-    Every state is walked in the same block loop as :func:`least_closure`.
+    The first block's :func:`_closure_mask` of every (coordinate, residue)
+    is ANDed over every state by :func:`_tile`; a state closes in that block
+    iff its AND is nonzero, at the step its highest bit marks.  Only the
+    states still open after it walk on, each in the block loop of
+    :func:`least_closure`.
     """
     two_m = [2 * m for m in dims]
     period = math.lcm(*two_m)
-    states = list(itertools.product(*[range(tm) for tm in two_m]))
-    return sum(k != period for k in _least_closures(two_m, states, period).values())
+    n = min(BLOCK, period)
+    hits = _tile([[_closure_mask(u, tm, 1, n) for u in range(tm)] for tm in two_m], and_, [-1])
+    still_open = hits.count(0)
+    # a closure at step `period` of a first block that ends there is bit 0 alone
+    violations = len(hits) - still_open - (hits.count(1) if n == period else 0)
+    if still_open:
+        states = itertools.compress(itertools.product(*map(range, two_m)), map(not_, hits))
+        violations += sum(_closure_from(two_m, u, 1 + n, period) != period for u in states)
+    return violations
 
 
-def first_visit(dims, residues, target, limit: int) -> int | None:
+def first_visit(dims, residues, target, limit: int) -> tuple[int, tuple[int, ...]] | None:
     """First visit to the point with coordinates ``target`` in the steps
     ``0 .. limit-1`` of the walk from the phase state ``residues``, as
-    ``k * 2**p + signs``, where bit ``p-1-i`` of ``signs`` is set when
-    coordinate ``i`` is on its descending branch there (residue above
-    ``m_i``); None if there is none.
+    ``(k, signs)``, where ``signs[i]`` is 1 when coordinate ``i`` is on its
+    descending branch there (residue above ``m_i``); None if there is none.
 
     Per block, each coordinate contributes the bit mask of the steps at which
-    it sits at its target coordinate, on either branch (residue ``t_i`` or
-    ``2*m_i - t_i``, :func:`_residue_mask`), and the AND of the masks marks
-    the steps at which the walk is at ``target``.  Only the first such step
-    has its sign bits read.
+    it sits at its target coordinate (:func:`_target_mask`), and the AND of
+    the masks, stopped at the first empty one, marks the steps at which the
+    walk is at ``target``.  Only the first such step has its signs read.
     """
-    at_target = [{t, (2 * m - t) % (2 * m)} for t, m in zip(target, dims)]
     for k0 in range(0, limit, BLOCK):
         n = min(BLOCK, limit - k0)
-        hits = reduce(and_, [_residue_mask(r, u, 2 * m, k0, n)
-                             for r, u, m in zip(at_target, residues, dims)])
-        if hits:
-            code = k = k0 + n - hits.bit_length()
-            for u, m in zip(residues, dims):
-                code = 2 * code + ((u + k) % (2 * m) > m)
-            return code
+        hits = -1
+        for t, u, m in zip(target, residues, dims):
+            hits &= _target_mask(t, u, m, k0, n)
+            if not hits:
+                break
+        else:
+            k = k0 + n - hits.bit_length()
+            return k, tuple([int((u + k) % (2 * m) > m) for u, m in zip(residues, dims)])
     return None
 
 
@@ -298,12 +312,14 @@ def _block_shape(two_m, cap: int) -> list[int]:
 
 def _residue_columns(dims, lens, n_points: int):
     """Per coordinate and residue ``r``, the key and sign columns of
-    :func:`reach_scan`'s walk over a block of sources.
+    :func:`reach_scan`'s two streams over a block of sources.
 
     A block takes ``lens[i]`` consecutive residues ``s_i + q_i`` of each
     coordinate, in mixed-radix order (source ``j = sum(q_i * inner_i)``).
-    At step ``k``, with ``r = s_i + k``, the key column holds for each source
-    coordinate ``i``'s share of the visit key ``j * n_points + point``:
+    An entry with residue difference ``d_i`` (``k mod 2*m_i`` at the walk's
+    step ``k``) reads residue ``r = s_i + d_i``, whose key column holds for
+    each source coordinate ``i``'s share of the visit key
+    ``j * n_points + point``:
     ``(m_i - |m_i - (r + q_i)|) * point_stride_i + q_i * inner_i * n_points``.
     The sign column holds its sign bit, set on the descending branch.
     """
@@ -313,14 +329,14 @@ def _residue_columns(dims, lens, n_points: int):
         stride = math.prod(x + 1 for x in dims[i + 1:])
         inner, outer = math.prod(lens[i + 1:]), math.prod(lens[:i])
         bit = 1 << (p - 1 - i)
-        key_cols, sign_cols = [], []
-        for r in range(2 * m):
-            turn = _turn(r, 2 * m, 0, n)
-            key = [(m - abs(m - x)) * stride + q * inner * n_points for q, x in enumerate(turn)]
-            key_cols.append(_spread(key, inner, outer))
-            sign_cols.append(_spread([bit if x > m else 0 for x in turn], inner, outer))
-        keys.append(key_cols)
-        signs.append(sign_cols)
+        # entries r .. r+n-1 of these are the n residues from r on, wrapped
+        turns = [x % (2 * m) for x in range(2 * m + n - 1)]
+        points = [(m - abs(m - x)) * stride for x in turns]
+        bits = [bit if x > m else 0 for x in turns]
+        shares = range(0, n * inner * n_points, inner * n_points)
+        keys.append([_spread(list(map(add, points[r:r + n], shares)), inner, outer)
+                     for r in range(2 * m)])
+        signs.append([_spread(bits[r:r + n], inner, outer) for r in range(2 * m)])
     return keys, signs
 
 
@@ -344,21 +360,25 @@ def reach_scan(dims) -> tuple[int, int]:
     decided once and counted once each.
 
     Both sides write an answer as ``k * 2**p + signs``, and "unreachable" as
-    one value above every answer either side can give.  The law side takes,
-    per target, the least of these over all of the target's lifts (the phase
-    states projecting onto it, each with its sign bits; ties keep the
-    lexicographically first signs), each from the CRT solution for the
-    residue difference between that lift and the source lift.
+    one value above every answer either side can give.  The law side calls
+    :func:`core.solve_congruences` once on every residue-difference vector
+    ``d``; a solved ``d`` says that the phase state ``u + d`` is reached from
+    the source lift ``u`` at step ``k``.  Per target it takes the least of
+    these over the target's lifts (the phase states projecting onto it, each
+    with its sign bits; ties keep the lexicographically first signs).
 
     Source lifts are decided in blocks (:func:`_block_shape`) of at most
-    ``max(1, REACH_BLOCK // prod(2*m_i))``, so a block of more than one
-    reads at most :data:`REACH_BLOCK` law answers (one per source and target
-    lift).  Per block, the walk streams every step, in descending order,
-    into one first-visit table indexed by visit key ``j * n_points +
-    point``, from per-coordinate columns (:func:`_residue_columns`); the law
-    side reads one slice of the CRT table at every (source, target lift)
-    with one ``itemgetter``; and one comparison weights each verdict by the
-    (source, mask) pairs sharing its lift.
+    ``max(1, REACH_BLOCK // n_points)``, so a block of more than one holds
+    at most :data:`REACH_BLOCK` entries per table.  Per block, each side
+    streams its entries in descending order of ``k`` into its own
+    first-visit table indexed by visit key ``j * n_points + point``, from
+    the same per-coordinate columns (:func:`_residue_columns`), so the least
+    ``k`` is written last (:func:`_visit_stream`): the walk every step ``k``
+    with ``d = k mod 2*m``, the law side every solved ``d`` with its ``k``.
+    With a correct solver each side streams ``2*lcm(dims)`` entries per
+    source.  Vectors that share one answer (only a faulty solver gives them)
+    are merged into the table by min.  One comparison per block weights
+    each verdict by the (source, mask) pairs sharing its lift.
 
     Returns ``(n_checked, n_mismatch)``.
     """
@@ -366,40 +386,22 @@ def reach_scan(dims) -> tuple[int, int]:
     p = len(dims)
     two_m = [2 * m for m in dims]
     period = math.lcm(*two_m)
-    n_states = math.prod(two_m)
     strides = [math.prod(two_m[i + 1:]) for i in range(p)]
+    n_points = math.prod(m + 1 for m in dims)
 
-    # Least solution per residue-difference vector, solved once by CRT merge.
-    crt = [solve_congruences(d, two_m) for d in itertools.product(*map(range, two_m))]
-    unreachable = max([period] + [k + 1 for k in crt if k is not None]) << p
-    # Every axis doubled, so the difference (v_i - u_i) mod 2*m_i of a target
-    # lift v and a source lift u is read at v_i + 2*m_i - u_i, and one slice
-    # of this table shifts all lifts by -u at once.
-    pad_strides = [math.prod(2 * tm for tm in two_m[i + 1:]) for i in range(p)]
-    keys = [unreachable if k is None else k << p for k in crt]
-    pad = list(map(keys.__getitem__, _tile(
-        [[j % tm * stride for j in range(2 * tm)] for tm, stride in zip(two_m, strides)],
-        add, [0])))
-    # The lifts of each target: the distinct phase states projecting onto it,
-    # in sign order, each with its sign bits (a coordinate at 0 or m_i has
-    # one residue for both signs and takes sign 0).  A target with c
-    # coordinates off the walls has 2**c lifts; targets are grouped by c so
-    # that each group's answers are taken in runs of one length.
-    group_pids, group_index, group_signs = ([[] for _ in range(p + 1)] for _ in range(3))
-    points = list(itertools.product(*[range(m + 1) for m in dims]))
-    for pid, tgt in enumerate(points):
-        index, signs = [0], [0]
-        for i, (t, m, stride) in enumerate(zip(tgt, dims, pad_strides)):
-            if 0 < t < m:
-                index = [v + w for v in index for w in (t * stride, (2 * m - t) * stride)]
-                signs = [s + b for s in signs for b in (0, 1 << (p - 1 - i))]
-            else:
-                index = [v + t * stride for v in index]
-        c = len(index).bit_length() - 1
-        group_pids[c].append(pid)
-        group_index[c] += index
-        group_signs[c] += signs
-    n_points = len(points)
+    # Least solution per residue-difference vector, solved once by CRT merge;
+    # the solved vectors in descending order of answer.
+    diffs = list(itertools.product(*map(range, two_m)))
+    crt = list(map(solve_congruences, diffs, itertools.repeat(two_m)))
+    solved = sorted(itertools.compress(zip(crt, diffs), map(is_not, crt, itertools.repeat(None))),
+                    reverse=True)
+    unreachable = max(period, solved[0][0] + 1 if solved else 0) << p
+    repeats = Counter(k for k, _ in solved)
+    law = _entries(solved, p)
+    law_tied = _entries([(k, d) for k, d in solved if repeats[k] > 1], p)
+    # the walk's steps k descending, each with its difference k mod 2*m_i
+    walk = ([k << p for k in reversed(range(period))],
+            [list(reversed(range(tm))) * (period // tm) for tm in two_m])
 
     # Every (source, mask) pair lifted to its phase state: a source coordinate
     # on a wall lifts alike under both signs, so pairs share lifts, and each
@@ -408,66 +410,60 @@ def reach_scan(dims) -> tuple[int, int]:
         [[(x if not a else (tm - x) % tm) * stride for x in range(m + 1) for a in (0, 1)]
          for m, tm, stride in zip(dims, two_m, strides)], add, [0]))
 
-    lens = _block_shape(two_m, max(1, REACH_BLOCK // n_states))
+    lens = _block_shape(two_m, max(1, REACH_BLOCK // n_points))
     size = math.prod(lens)
-    key_cols, sign_cols = _residue_columns(dims, lens, n_points)
-    # Source j of a block starting at lift s is s + q: its state index is
-    # s's plus rel_state[j], and its slice of the CRT table starts rel_pad[j]
-    # before s's.  The law answers of a block are read group by group, source
-    # by source, target by target and lift by lift, so the least per target
-    # is taken over one run per group; the walk's table is read in that order.
+    columns = _residue_columns(dims, lens, n_points)
+    # source j of a block starting at lift s is s + q, at state index s's
+    # plus rel_state[j]
     rel_state = _tile([[q * stride for q in range(n)] for n, stride in zip(lens, strides)],
                       add, [0])
-    rel_pad = _tile([[q * stride for q in range(n)] for n, stride in zip(lens, pad_strides)],
-                    add, [0])
-    shifts = [rel_pad[-1] - rel for rel in rel_pad]
-    offsets = range(0, size * n_points, n_points)
-    reads, lift_signs, visit_order, runs = [], [], [], []
-    for c, (pids, index, signs) in enumerate(zip(group_pids, group_index, group_signs)):
-        reads += map(add, index * size, _spread(shifts, len(index), 1))
-        lift_signs += signs * size
-        visit_order += map(add, pids * size, _spread(offsets, len(pids), 1))
-        runs.append((1 << c, len(pids)))
-    read_law = itemgetter(*reads)
-    read_oracle = itemgetter(*visit_order)
-    span = max(reads) + 1
-    # step k's share of each answer, k descending, once per source of a block
-    steps = range((period - 1) << p, -1, -1 << p)
 
     checked = 0
     mismatch = 0
     for starts in itertools.product(*[range(0, tm, n) for tm, n in zip(two_m, lens)]):
-        visit_keys = visit_signs = None
-        for cols_k, cols_s, s, tm in zip(key_cols, sign_cols, starts, two_m):
-            # the columns of the steps period-1 .. 0: residues s+k descending, cycled
-            order = [(s + k) % tm for k in range(tm - 1, -1, -1)] * (period // tm)
-            col_k = itertools.chain.from_iterable(map(cols_k.__getitem__, order))
-            col_s = itertools.chain.from_iterable(map(cols_s.__getitem__, order))
-            visit_keys = col_k if visit_keys is None else map(add, visit_keys, col_k)
-            visit_signs = col_s if visit_signs is None else map(add, visit_signs, col_s)
-        codes = map(add, visit_signs, itertools.chain.from_iterable(
-            map(itertools.repeat, steps, itertools.repeat(size))))
-        # the earliest step of each (source, point) is written last
-        visits = [unreachable] * (size * n_points)
-        deque(map(visits.__setitem__, visit_keys, codes), maxlen=0)
-        oracle = list(read_oracle(visits))
-
-        first = sum((tm - s - n + 1) * stride
-                    for s, n, tm, stride in zip(starts, lens, two_m, pad_strides))
-        answers = map(add, read_law(pad[first:first + span]), lift_signs)
-        law = []
-        for run_size, count in runs:
-            run = itertools.islice(answers, run_size * count * size)
-            law += run if run_size == 1 else map(min, *[run] * run_size)
+        by_walk = [unreachable] * (size * n_points)
+        deque(map(by_walk.__setitem__, *_visit_stream(columns, starts, walk, size)), maxlen=0)
+        by_law = [unreachable] * (size * n_points)
+        deque(map(by_law.__setitem__, *_visit_stream(columns, starts, law, size)), maxlen=0)
+        # vectors sharing one answer: the least signs per visit key wins
+        for key, code in zip(*_visit_stream(columns, starts, law_tied, size)):
+            if code < by_law[key]:
+                by_law[key] = code
 
         base = sum(s * stride for s, stride in zip(starts, strides))
         times = list(map(shared.__getitem__, map(add, rel_state, itertools.repeat(base))))
-        if law != oracle:
-            # in law order: group by group, source by source, target by target
-            weights = [t for _, count in runs for t in times for _ in range(count)]
-            mismatch += sum(itertools.compress(weights, map(ne, law, oracle)))
+        if by_law != by_walk:
+            weights = _spread(times, n_points, 1)
+            mismatch += sum(itertools.compress(weights, map(ne, by_law, by_walk)))
         checked += n_points * sum(times)
     return checked, mismatch
+
+
+def _entries(pairs, p: int):
+    """``(k, d)`` pairs, as one side of :func:`reach_scan` streams them: the
+    shares ``k * 2**p`` of their answers, and per coordinate the column of
+    their residue differences ``d_i``."""
+    ks, ds = zip(*pairs) if pairs else ((), ())
+    return [k << p for k in ks], list(zip(*ds)) or [()] * p
+
+
+def _visit_stream(columns, starts, entries, size: int):
+    """Visit keys and answers of ``entries`` (:func:`_entries`) for every
+    source of the :func:`reach_scan` block starting at lift ``starts``:
+    entry by entry, the block's column of each coordinate at residue
+    ``s_i + d_i``, summed over the coordinates, plus the entry's share."""
+    steps, diffs = entries
+    keys = signs = None
+    for key_cols, sign_cols, s, col in zip(*columns, starts, diffs):
+        # the columns turned so that entry d reads residue s + d
+        turned_k = key_cols[s:] + key_cols[:s]
+        turned_s = sign_cols[s:] + sign_cols[:s]
+        col_k = itertools.chain.from_iterable(map(turned_k.__getitem__, col))
+        col_s = itertools.chain.from_iterable(map(turned_s.__getitem__, col))
+        keys = col_k if keys is None else map(add, keys, col_k)
+        signs = col_s if signs is None else map(add, signs, col_s)
+    return keys, map(add, signs, itertools.chain.from_iterable(
+        map(itertools.repeat, steps, itertools.repeat(size))))
 
 
 def _period_sum(u: int, m: int, period: int) -> int:

@@ -113,6 +113,44 @@ def reference_first_visits(grid, residues):
     return seen
 
 
+# Planted CRT faults: each turns the true answer ``r`` of a residue-difference
+# vector into a wrong one on some vectors.  "late" is one step late, "spurious"
+# solves some vectors that have no solution, "dropped" loses some solutions.
+FAULTS = {
+    "late": lambda r, residues: r + 1 if r is not None and r % 7 == 3 else r,
+    "spurious": lambda r, residues: (sum(residues) % 3
+                                     if r is None and sum(residues) % 5 == 1 else r),
+    "dropped": lambda r, residues: None if r is not None and r % 5 == 2 else r,
+}
+
+# (dims, expected (checked, mismatch)) per fault, as the step-at-a-time scan
+# counted them.  A spurious answer of 0, 1 or 2 ties with true ones, so its
+# counts hold only if tied answers are merged by min.
+SPURIOUS = [((6, 4), (4900, 2019)), ((3, 3, 3), (32768, 17320)),
+            ((1, 5, 2), (10368, 3296)), ((2, 5), (1296, 272))]
+DROPPED = [((6, 4), (4900, 412)), ((3, 3, 3), (32768, 504)),
+           ((1, 5, 2), (10368, 480)), ((2, 5), (1296, 120))]
+SPURIOUS_AND_DROPPED = ([("spurious", *case) for case in SPURIOUS]
+                        + [("dropped", *case) for case in DROPPED])
+
+
+def scan_with_fault(monkeypatch, fault, dims):
+    """:func:`kernels.reach_scan` with a CRT solver that has the planted fault
+    ``FAULTS[fault]``; the scan must call it once per residue-difference
+    vector."""
+    solve = kernels.solve_congruences
+    calls = []
+
+    def faulty(residues, moduli):
+        calls.append(residues)
+        return FAULTS[fault](solve(residues, moduli), residues)
+
+    monkeypatch.setattr(kernels, "solve_congruences", faulty)
+    result = kernels.reach_scan(list(dims))
+    assert len(calls) == math.prod(2 * m for m in dims)
+    return result
+
+
 class TestPlantedFault:
     """A CRT solver that is off by one on some residues must be caught, and
     counted exactly as the step-at-a-time scan counted it."""
@@ -129,21 +167,18 @@ class TestPlantedFault:
         ((1, 1, 1), (8**2 * 2**3, 0)),
     ])
     def test_reach_scan_counts_mismatches(self, monkeypatch, dims, expected):
-        solve = kernels.solve_congruences
+        assert scan_with_fault(monkeypatch, "late", dims) == expected
 
-        def faulty(residues, moduli):
-            r = solve(residues, moduli)
-            return r + 1 if r is not None and r % 7 == 3 else r
-
-        monkeypatch.setattr(kernels, "solve_congruences", faulty)
-        assert kernels.reach_scan(list(dims)) == expected
+    @pytest.mark.parametrize("fault,dims,expected", SPURIOUS_AND_DROPPED)
+    def test_spurious_and_dropped_answers(self, monkeypatch, fault, dims, expected):
+        assert scan_with_fault(monkeypatch, fault, dims) == expected
 
 
 class TestReachScanBlocks:
     """reach_scan decides its source lifts a block at a time: its counts do
     not depend on the block size, and its blocks bound its memory."""
 
-    # 1: one source per block; 1000: a run of 2 or 3 residues of one
+    # 1: one source per block; 1000: a run of 2 to 5 residues of one
     # coordinate after whole later ones; 1 << 20: every source in one block
     @pytest.mark.parametrize("block", [1, 1000, 1 << 20])
     @pytest.mark.parametrize("dims,expected", [
@@ -152,22 +187,45 @@ class TestReachScanBlocks:
         ((1, 5, 2), (10368, 400)),
     ])
     def test_planted_fault_counts_for_any_block(self, monkeypatch, block, dims, expected):
-        solve = kernels.solve_congruences
-
-        def faulty(residues, moduli):
-            r = solve(residues, moduli)
-            return r + 1 if r is not None and r % 7 == 3 else r
-
-        monkeypatch.setattr(kernels, "solve_congruences", faulty)
         monkeypatch.setattr(kernels, "REACH_BLOCK", block)
-        assert kernels.reach_scan(list(dims)) == expected
+        assert scan_with_fault(monkeypatch, "late", dims) == expected
+
+    @pytest.mark.parametrize("block", [1, 1 << 13, 1 << 20])
+    @pytest.mark.parametrize("fault,dims,expected", SPURIOUS_AND_DROPPED)
+    def test_spurious_and_dropped_for_any_block(self, monkeypatch, block, fault, dims, expected):
+        monkeypatch.setattr(kernels, "REACH_BLOCK", block)
+        assert scan_with_fault(monkeypatch, fault, dims) == expected
 
     def test_memory_stays_blocked(self):
-        # between a walk of one source lift at a time (0.71 MB) and one
-        # unblocked batch of all 1,728 lifts (12-17 MB)
+        # one source lift per block peaks at 0.33 MB, the default blocks of
+        # twelve lifts at 0.26 MB, and one batch of all 1,728 lifts at 10 MB
         result, peak = peak_bytes(lambda: kernels.reach_scan([6, 6, 6]))
         assert result == (7**6 * 2**3, 0)
-        assert peak < 2 << 20
+        assert peak < 1 << 19
+
+
+class TestMaskTables:
+    """The per-coordinate masks of the per-call oracles are kept in two
+    bounded tables keyed by plain ints, so a sweep over one grid's states or
+    targets builds each coordinate's masks once."""
+
+    def test_tables_are_bounded(self):
+        for table in (kernels._closure_mask, kernels._target_mask):
+            assert table.cache_info().maxsize <= 256
+
+    def test_state_sweep_builds_one_mask_per_residue(self):
+        g = GridSpec((4, 3, 2))
+        period = math.lcm(*g.two_m)
+        kernels._closure_mask.cache_clear()
+        assert all(first_closure(g, s, period) == period for s in all_states(g))
+        assert kernels._closure_mask.cache_info().misses == sum(g.two_m)
+
+    def test_target_sweep_builds_one_mask_per_position(self):
+        g = GridSpec((4, 3, 2))
+        kernels._target_mask.cache_clear()
+        for tgt in all_points(g):
+            light_reachable_oracle(g, Point((1, 2, 0)), DirectionMask((0, 1, 1)), tgt)
+        assert kernels._target_mask.cache_info().misses <= sum(m + 1 for m in g.dims)
 
 
 class TestPlantedFaultInTables:
