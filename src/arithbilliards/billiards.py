@@ -127,8 +127,10 @@ def first_closure(grid: GridSpec, state: PhaseState, limit: int) -> int | None:
     ``2*lcm(dims)`` (checked exhaustively by the acceptance suite), so this
     function doubles as the iteration oracle for :func:`step_length`.  The
     loop is :func:`kernels.least_closure`, shared with that acceptance sweep.
+    It walks at most ``min(limit, 2*lcm(dims))`` steps, charged beforehand.
     """
     validate_state(grid, state)
+    check_budget(min(limit, step_length(grid)), "period steps")
     return kernels.least_closure(grid.two_m, state.residues, limit)
 
 

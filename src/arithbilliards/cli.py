@@ -5,7 +5,8 @@ to ``--out`` files) and exits with: 0 ok, 1 consistency-check failure,
 2 bad input (argument errors included, as ``error.type`` "UsageError"),
 3 budget exceeded (``MemoryError`` included), 4 I/O error, 5 internal error
 (a failed library self-check or any other exception; the traceback goes to
-stderr).  Only ``-h`` prints help text instead.
+stderr).  A stdout that cannot be written (a closed pipe, a full disk) exits 4
+with one stderr line.  Only ``-h`` prints help text instead.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 
@@ -331,7 +333,15 @@ def main(argv=None) -> int:
 
 def _emit(doc: dict, started: float, code: int) -> int:
     doc["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    print(json.dumps(doc))
+    try:
+        print(json.dumps(doc), flush=True)
+    except OSError as exc:
+        # stdout is gone: aim it at the null device, so the flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"arithbilliards: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_IO
     return code
 
 

@@ -281,23 +281,23 @@ def step_directed(grid: GridSpec, state: PhaseState, mask: DirectionMask) -> Pha
     )
 
 
-def _cycle(u: int, tm: int, n: int) -> list[int]:
-    """The first ``min(n, tm)`` residues ``u, u+1, ... (mod tm)``."""
+def _cycle(u: int, tm: int, n: int) -> range | list[int]:
+    """The first ``min(n, tm)`` residues ``u, u+1, ... (mod tm)``; a ``range`` unless they wrap."""
     u %= tm
     end = u + min(n, tm)
     if end <= tm:
-        return list(range(u, end))
-    return list(range(u, tm)) + list(range(end - tm))
+        return range(u, end)
+    return [*range(u, tm), *range(end - tm)]
 
 
-def _repeat(cycle: list[int], n: int) -> list[int]:
-    """``cycle`` repeated out to length ``n`` (it already has ``min(n, period)``)."""
-    if len(cycle) >= n:
-        return cycle
-    return (cycle * -(-n // len(cycle)))[:n]
+def _repeat(column, n: int):
+    """``column`` (a list or a ``range``) repeated out to ``n`` entries."""
+    if len(column) >= n:
+        return column
+    return ([*column] * -(-n // len(column)))[:n]
 
 
-def phase_columns(grid: GridSpec, residues, n: int) -> list[list[int]]:
+def phase_columns(grid: GridSpec, residues, n: int) -> list:
     """Residue columns of the states ``u + k`` for ``k = 0 .. n-1``.
 
     ``columns[i][k] = (u_i + k) mod 2*m_i``.  Each column repeats one cycle of

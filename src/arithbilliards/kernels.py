@@ -15,8 +15,9 @@ BFS of :func:`bfs_components` and :func:`walks.find_walk_bfs`; and
 
 Column walks.  A trajectory is walked in blocks of at most :data:`BLOCK`
 steps.  Within a block each coordinate is stepped once around its own phase
-circle, over at most ``min(2*m_i, n)`` residues for an ``n``-step block, and
-that column is repeated out to the block.  The joint walk over the block is
+circle, over at most ``min(2*m_i, n)`` residues for an ``n``-step block
+(:func:`core._cycle`), and that column is repeated out to the block
+(:func:`core._repeat`).  The joint walk over the block is
 then done by C-level operations instead of one Python step at a time: list
 repetition, ``map``/``zip`` (sums of stride-scaled columns give encoded
 states), and AND of integer bit masks for "every coordinate matches at step
@@ -54,7 +55,8 @@ The walks use no CRT, no gcd/lcm law beyond the period ``2*lcm(dims)`` that
 bounds them, and no parity-class or orbit law: the move table depends only
 on which coordinates sit at a wall, and the parity codes are counted, not
 sized.  From :mod:`arithbilliards.core` they take only the mixed-radix codec
-(first coordinate most significant) and :func:`core.solve_congruences`,
+(first coordinate most significant), the residue runs :func:`core._cycle` and
+:func:`core._repeat` (not closed forms), and :func:`core.solve_congruences`,
 which is the law side of :func:`reach_scan`; never the closed-form helpers
 (``tent_columns``, ``phase_columns``).
 
@@ -93,7 +95,7 @@ from collections import Counter, deque
 from functools import lru_cache, reduce
 from operator import add, and_, is_not, ne, not_, xor
 
-from arithbilliards.core import decode_digits, encode_digits, solve_congruences
+from arithbilliards.core import _cycle, _repeat, decode_digits, encode_digits, solve_congruences
 
 BACKEND = "python"
 BLOCK = 1024  # steps per block of a column walk
@@ -140,27 +142,10 @@ def _mark_orbit(two_m, strides, residues, period: int, visited: bytearray) -> No
         n = min(BLOCK, period - k0)
         codes = None
         for u, tm, stride in zip(residues, two_m, strides):
-            col = _repeat([r * stride for r in _turn(u, tm, k0, n)], n)
+            col = _repeat([r * stride for r in _cycle(u + k0, tm, n)], n)
             codes = col if codes is None else map(add, codes, col)
         for idx in codes:
             visited[idx] = 1
-
-
-def _turn(u: int, tm: int, k0: int, n: int):
-    """Residues ``(u + k) mod tm`` of the steps ``k = k0 .. k0 + min(n, tm) - 1``:
-    at most one turn of the phase circle."""
-    r = (u + k0) % tm
-    end = r + min(n, tm)
-    if end <= tm:
-        return range(r, end)
-    return [*range(r, tm), *range(end - tm)]
-
-
-def _repeat(column, n: int):
-    """``column``, one turn or a whole block long, repeated out to ``n`` entries."""
-    if len(column) >= n:
-        return column
-    return (column * -(-n // len(column)))[:n]
 
 
 def _tile(columns, op, table):
@@ -472,7 +457,7 @@ def _period_sum(u: int, m: int, period: int) -> int:
     total = 0
     for k0 in range(0, period, BLOCK):
         n = min(BLOCK, period - k0)
-        total += sum(_repeat([m - abs(m - r) for r in _turn(u, 2 * m, k0, n)], n))
+        total += sum(_repeat([m - abs(m - r) for r in _cycle(u + k0, 2 * m, n)], n))
     return total
 
 

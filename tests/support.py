@@ -1,17 +1,20 @@
 """Helpers shared by the test modules, each defined once: the finite sets the
 laws are checked on (grids, lattice points, phase states, direction masks),
 the ``core.step`` replay, the polynomial builders, the memory probe and the
-SVG element finder.
+SVG element finder, and the environment of a child interpreter.
 
 Pytest puts this directory on ``sys.path``, so a test module imports it as
 ``from support import ...``.
 """
 
 import itertools
+import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import arithbilliards
 from arithbilliards.circseq import IntPolynomial
 from arithbilliards.core import DirectionMask, PhaseState, Point, step
 
@@ -81,3 +84,12 @@ def peak_bytes(fn, raises=None):
 def elements(root, tag):
     """Every ``tag`` element (an SVG name such as ``"polyline"``) under ``root``."""
     return root.findall(f".//{SVG_NS}{tag}")
+
+
+def package_env():
+    """``os.environ`` with the package's source directory first on
+    ``PYTHONPATH``, for a child interpreter that imports the package."""
+    src = str(Path(arithbilliards.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from arithbilliards import core
+from arithbilliards import core, kernels
 from arithbilliards.billiards import (
     PathKind,
     boundary_hits,
@@ -103,6 +103,26 @@ class TestStepLength:
         k = step_length(g)
         for state in all_states(g):
             assert first_closure(g, state, k - 1) is None
+
+    def test_first_closure_charges_its_walk(self, monkeypatch):
+        # the walk is min(limit, period) steps, charged before it starts
+        g = GridSpec((6, 4))
+        state = PhaseState((0, 3))
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 24)
+        assert first_closure(g, state, 10**9) == 24
+        assert first_closure(g, state, 23) is None
+
+        def never(*args):
+            raise AssertionError("walked past the budget")
+
+        monkeypatch.setattr(kernels, "least_closure", never)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 23)
+        with pytest.raises(BudgetExceededError, match="period steps: 24 needed"):
+            first_closure(g, state, 24)
+        # a limit far short of a long period is still a walk of `limit` steps
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 10**7)
+        with pytest.raises(BudgetExceededError, match="period steps: 30000000 needed"):
+            first_closure(GridSpec((10**6, 10**6 - 1)), PhaseState((0, 1)), 3 * 10**7)
 
     def test_minimum_two_iff_unit_cell(self):
         for dims in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (2, 1, 1)]:

@@ -1,11 +1,16 @@
 """Command-line surface: payloads, exit codes, file output."""
 
+import errno
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from arithbilliards import billiards, circseq, cli, core, render, walks
 from arithbilliards.core import DEFAULT_STATE_BUDGET
+from support import package_env
 
 
 def run(capsys, *argv):
@@ -479,6 +484,53 @@ class TestAnyException:
         assert code == cli.EXIT_INTERNAL == 5
         assert doc["error"] == {"type": "KeyError", "message": "'lost'"}
         assert "Traceback" in captured.err and "KeyError" in captured.err
+
+
+class TestUnwritableStdout:
+    """A document that cannot be written to stdout is an I/O error: exit 4,
+    one line on stderr, no traceback."""
+
+    @pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                       OSError(errno.ENOSPC, "No space left on device")])
+    def test_failed_write_exits_4(self, capsys, monkeypatch, tmp_path, error):
+        sink = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class Gone:
+            def write(self, text):
+                raise error
+
+            flush = write
+
+            def fileno(self):
+                return sink
+
+        monkeypatch.setattr(sys, "stdout", Gone())
+        try:
+            code = cli.main(["count", "--dims", "6,4"])
+        finally:
+            os.close(sink)
+        assert code == cli.EXIT_IO == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"arithbilliards: cannot write to stdout: {error}"]
+
+    @pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full"])
+    def test_exit_time_flush_stays_silent(self, stdout):
+        if stdout == "closed pipe":
+            reader, fd = os.pipe()
+            os.close(reader)
+        elif os.path.exists(stdout):
+            fd = os.open(stdout, os.O_WRONLY)
+        else:
+            pytest.skip(f"no {stdout} on this system")
+        try:
+            out = subprocess.run([sys.executable, "-m", "arithbilliards.cli", "count", "--dims",
+                                  "6,4"], stdout=fd, stderr=subprocess.PIPE, env=package_env(),
+                                 text=True, timeout=60)
+        finally:
+            os.close(fd)
+        assert out.returncode == 4
+        assert len(out.stderr.splitlines()) == 1, out.stderr
+        assert out.stderr.startswith("arithbilliards: cannot write to stdout: ")
 
 
 class TestGenfuncBudget:

@@ -9,6 +9,8 @@ from arithbilliards.core import (
     GridSpec,
     PhaseState,
     Point,
+    _cycle,
+    _repeat,
     decode_point,
     decode_state,
     encode_point,
@@ -249,6 +251,19 @@ class TestFullPeriod:
             for x, m in zip(point.coords, g.dims):
                 expected *= 2 if 0 < x < m else 1
             assert fibers[point] == expected
+
+
+class TestResidueRuns:
+    def test_cycle_repeated_is_the_stepped_column(self):
+        # the one residue-run pair the closed forms and the oracle walks
+        # share: one turn of the circle from u + k0, repeated out to n steps
+        for tm in range(1, 8):
+            for u in range(2 * tm):
+                for k0 in range(2 * tm):
+                    for n in range(3 * tm + 1):
+                        turn = _cycle(u + k0, tm, n)
+                        assert len(turn) == min(n, tm)
+                        assert list(_repeat(turn, n)) == [(u + k0 + j) % tm for j in range(n)]
 
 
 class TestEncodings:

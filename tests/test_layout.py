@@ -1,6 +1,6 @@
 """Source-tree layout: the package is plain Python sources only, the
-oracle kernels use nothing beyond the standard library, and each test helper
-is defined once."""
+oracle kernels use nothing beyond the standard library, and each package
+function and test helper is defined once."""
 
 import ast
 import sys
@@ -34,16 +34,31 @@ def test_kernels_import_only_the_standard_library():
                      - set(sys.stdlib_module_names) - {"arithbilliards"})
     assert foreign == [], f"kernels imports non-stdlib modules (no numpy, no second lane): {foreign}"
     # the oracles stay independent of the closed-form helpers: from the
-    # package they take only the CRT merge and the mixed-radix codec
+    # package they take only the CRT merge, the mixed-radix codec and the
+    # residue runs (one turn of a phase circle, and its repetition)
     assert sorted(name for name in imported if name.startswith("arithbilliards")) == [
         "arithbilliards.core"]
     assert from_package == {"arithbilliards.core.solve_congruences",
                             "arithbilliards.core.encode_digits",
-                            "arithbilliards.core.decode_digits"}
+                            "arithbilliards.core.decode_digits",
+                            "arithbilliards.core._cycle",
+                            "arithbilliards.core._repeat"}
 
 
 def _modules():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_each_package_function_defined_once():
+    # a primitive two modules need lives in one and is imported by the other;
+    # two definitions would drift apart
+    homes = {}
+    for name, tree in _modules().items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                homes.setdefault(node.name, []).append(name)
+    forked = {function: modules for function, modules in homes.items() if len(modules) > 1}
+    assert forked == {}, f"functions defined in more than one package module: {forked}"
 
 
 def _budget_raises(tree, where="<module>"):

@@ -1,11 +1,9 @@
 """Package surface: lazily loaded top-level names, the modules a command
 loads at start-up, and the contract every value type keeps."""
 
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path as FilePath
 
 import pytest
 
@@ -23,9 +21,7 @@ from arithbilliards.core import (
 )
 from arithbilliards.render import RenderOptions
 from arithbilliards.walks import OrbitSummary
-
-SRC = str(FilePath(arithbilliards.__file__).resolve().parents[1])
-
+from support import package_env
 
 class TestLazyNames:
     def test_every_public_name_resolves(self):
@@ -60,9 +56,7 @@ def loaded_modules(*argv):
         "print(*sorted(sys.modules), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", script], env=package_env(), capture_output=True,
                          text=True, timeout=60, check=True)
     return set(out.stderr.splitlines()[-1].split())
 

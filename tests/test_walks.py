@@ -1,15 +1,12 @@
 """Diagonal-walk orbits: index classification, sizes, and constructive walks."""
 
 import itertools
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
-import arithbilliards
 from arithbilliards import core, walks
 from arithbilliards.core import (
     DEFAULT_STATE_BUDGET,
@@ -32,7 +29,7 @@ from arithbilliards.walks import (
     orbit_sizes_bruteforce,
     same_orbit,
 )
-from support import ASC2, all_points, grids, peak_bytes
+from support import ASC2, all_points, grids, package_env, peak_bytes
 
 
 class TestSameOrbit:
@@ -238,10 +235,7 @@ class TestFindWalk:
                 else:
                     print(find.__name__, "accepted")
         """)
-        src = str(Path(arithbilliards.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=package_env(),
                              capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout.split("\n")[:3] == [
             "optimize 1", "find_walk raised", "find_walk_bfs raised",
