@@ -29,6 +29,7 @@ from arithbilliards.core import (
     project,
     solve_congruences,
     tent_columns,
+    validate_count,
     validate_mask,
     validate_point,
     validate_state,
@@ -104,8 +105,7 @@ def simulate(grid: GridSpec, start: Point, mask: DirectionMask, n_steps: int) ->
     """
     validate_point(grid, start)
     validate_mask(grid, mask)
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    validate_count("n_steps", n_steps)
     check_budget(n_steps, "steps")
     period = step_length(grid)
     count = min(n_steps + 1, period)
@@ -130,6 +130,7 @@ def first_closure(grid: GridSpec, state: PhaseState, limit: int) -> int | None:
     It walks at most ``min(limit, 2*lcm(dims))`` steps, charged beforehand.
     """
     validate_state(grid, state)
+    validate_count("limit", limit)
     check_budget(min(limit, step_length(grid)), "period steps")
     return kernels.least_closure(grid.two_m, state.residues, limit)
 
@@ -263,35 +264,31 @@ def coordinate_sums(grid: GridSpec, start: PhaseState) -> tuple[int, ...]:
 
 
 def _least_reach(grid: GridSpec, source: Point, target: Point, source_signs) -> ReachAnswer:
-    """Least ``(k, mask, signs)`` with ``k = v_i - u_i (mod 2*m_i)``, source signs from
-    ``source_signs[i]``, merged coordinate by coordinate on the constants of
-    :func:`core.crt_stages`: each residue mod the running lcm keeps its least key
-    ``mask prefix * 2**p + sign prefix``; the last coordinate keeps only the least
-    ``(k, key)``.  Budgeted before the first merge."""
-    p = grid.p
+    """Least ``k = v_i - u_i (mod 2*m_i)`` over the source lifts ``u_i`` signed from
+    ``source_signs[i]`` and the target lifts ``v_i``, merged as residue sets on
+    :func:`core.crt_stages` (budgeted first); the last merge streams into ``min``.
+    At a fixed ``k`` the coordinates choose their lifts apart, so the tie-break of
+    :func:`light_reachable_any` is read off at the least ``k``: each coordinate's first
+    offer, in (source sign, target sign) order, that ``k`` meets.  A coordinate with
+    none is a wrong merge, raised as :class:`ArithmeticError`."""
     two_m = grid.two_m
-    offers = [[(((-t if s else t) - (-x if a else x)) % tm, (a << p) + s)
-               for a in lifts for s in (0, 1)]
+    offers = [[((-t if s else t) - (-x if a else x)) % tm for a in lifts for s in (0, 1)]
               for x, t, tm, lifts in zip(source.coords, target.coords, two_m, source_signs)]
     stages = crt_stages(two_m)
     c = len(offers[0])  # offers per coordinate
     check_budget(sum(min(c ** i, lcm) * c for i, (lcm, *_) in enumerate(stages)),
                  "congruence merges")
-    live = {0: 0}
-    for stage, offer in zip(stages[:-1], offers):
-        merged = {}
-        for r, prefix in live.items():
-            for v, bits in offer:
-                k = _merge_stage(r, v, stage)
-                if k is not None and (key := 2 * prefix + bits) < merged.get(k, key + 1):
-                    merged[k] = key
-        live = merged
-    stage = stages[-1]
-    k, key = min(((k, 2 * prefix + bits) for r, prefix in live.items() for v, bits in offers[-1]
-                  if (k := _merge_stage(r, v, stage)) is not None), default=(None, 0))
+    live = {0}
+    for stage, offer in zip(stages, offers[:-1]):
+        live = {k for r in live for v in offer if (k := _merge_stage(r, v, stage)) is not None}
+    k = min((k for r in live for v in offers[-1]
+             if (k := _merge_stage(r, v, stages[-1])) is not None), default=None)
     if k is None:
         return ReachAnswer(False, None, None)
-    return ReachAnswer(True, k, tuple(key >> i & 1 for i in reversed(range(p))))
+    residues = [k % tm for tm in two_m]
+    if any(r not in offer for r, offer in zip(residues, offers)):
+        raise ArithmeticError(f"step {k} does not reach {target.coords!r}")
+    return ReachAnswer(True, k, tuple(offer.index(r) & 1 for r, offer in zip(residues, offers)))
 
 
 def light_reachable(grid: GridSpec, source: Point, mask: DirectionMask,
@@ -311,8 +308,8 @@ def light_reachable(grid: GridSpec, source: Point, mask: DirectionMask,
 
 
 def light_reachable_any(grid: GridSpec, source: Point, target: Point) -> ReachAnswer:
-    """:func:`light_reachable` for the first mask, in lexicographic order,
-    whose trajectory reaches ``target`` in the fewest steps."""
+    """:func:`light_reachable` over every mask: the least witness wins, then the
+    first mask in lexicographic order, then the first target-lift signs."""
     validate_point(grid, source)
     validate_point(grid, target)
     return _least_reach(grid, source, target, [(0, 1)] * grid.p)

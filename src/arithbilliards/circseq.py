@@ -14,7 +14,7 @@ exact; no floating point, no numeric evaluation.
 
 from __future__ import annotations
 
-from arithbilliards.core import Frozen, check_budget
+from arithbilliards.core import Frozen, check_budget, validate_count
 
 
 class IntPolynomial(Frozen):
@@ -53,10 +53,7 @@ class RationalGF(Frozen):
     def __init__(self, numerator: IntPolynomial, period: int) -> None:
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "period", period)
-        if type(period) is not int:
-            raise ValueError(f"period must be an integer, got {period!r}")
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
+        validate_count("period", period, 1)
         if numerator.degree >= period:
             raise ValueError(f"numerator degree {numerator.degree} >= period {period}")
 
@@ -72,19 +69,15 @@ class SeqSpec(Frozen):
         object.__setattr__(self, "height", height)
         if sign not in ("+", "-"):
             raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-        for name, value in (("first term", first_term), ("height", height)):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if height < 1:
-            raise ValueError(f"height must be >= 1, got {height}")
-        if not 0 <= first_term <= height:
+        validate_count("first term", first_term)
+        validate_count("height", height, 1)
+        if first_term > height:
             raise ValueError(f"first term must lie in [0, {height}], got {first_term}")
 
 
 def circ_seq(spec: SeqSpec, n: int) -> int:
     """n-th term: the tent map ``m - |m - u|`` at phase ``u = (t +- n) mod 2m``."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    validate_count("n", n)
     m = spec.height
     u = (spec.first_term + (n if spec.sign == "+" else -n)) % (2 * m)
     return m - abs(m - u)
@@ -92,8 +85,7 @@ def circ_seq(spec: SeqSpec, n: int) -> int:
 
 def circ_seq_closed(spec: SeqSpec, n: int) -> int:
     """n-th term in closed form, by case analysis on ``i = n mod 2m``."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    validate_count("n", n)
     t, m = spec.first_term, spec.height
     i = n % (2 * m)
     if spec.sign == "+":
@@ -137,8 +129,7 @@ def series_expand(gf: RationalGF, n_terms: int) -> list[int]:
     coefficients than the budget raise :class:`BudgetExceededError` before
     any is computed.
     """
-    if n_terms < 0:
-        raise ValueError(f"n_terms must be >= 0, got {n_terms}")
+    validate_count("n_terms", n_terms)
     count = n_terms + 1
     check_budget(count, "coefficients")
     block = list(gf.numerator.coeffs[:count])

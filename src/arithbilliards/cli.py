@@ -134,8 +134,12 @@ def cmd_reach(args) -> tuple[dict, int]:
     }
     if args.verify:
         # one period walked per mask, all charged at once; the first least witness wins
-        check_budget((2 ** grid.p if args.any_direction else 1) * billiards.step_length(grid),
-                     "--verify period steps")
+        try:
+            check_budget((2 ** grid.p if args.any_direction else 1) * billiards.step_length(grid),
+                         "--verify period steps")
+        except BudgetExceededError as exc:
+            exc.payload = payload  # refused with the law's answer in hand, as in count
+            raise
         oracle = min((billiards.light_reachable_oracle(grid, source, DirectionMask(signs), target)
                       for signs in masks), key=lambda a: (not a.reachable, a.witness_steps or 0))
         payload["oracle_checked"] = True

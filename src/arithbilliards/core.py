@@ -222,6 +222,12 @@ def validate_mask(grid: GridSpec, mask: DirectionMask) -> None:
         raise ValueError(f"mask arity {len(mask.signs)} does not match grid arity {grid.p}")
 
 
+def validate_count(name: str, n, least: int = 0) -> None:
+    """Reject a count that is not an ``int`` (a ``bool`` included) or is below ``least``."""
+    if type(n) is not int or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 def make_state(grid: GridSpec, residues) -> PhaseState:
     """Build a PhaseState, reducing each residue modulo its ``2*m_i`` circle.
 

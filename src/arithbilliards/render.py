@@ -35,6 +35,7 @@ from arithbilliards.core import (
     _repeat,
     check_budget,
     solve_congruences,
+    validate_count,
 )
 
 GRID_STROKE_WIDTH = 1
@@ -60,13 +61,8 @@ class RenderOptions(Frozen):
         object.__setattr__(self, "cell_size", cell_size)
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "palette", palette)
-        for name, value in (("cell_size", cell_size), ("margin", margin)):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if cell_size < 1:
-            raise ValueError(f"cell_size must be >= 1, got {cell_size}")
-        if margin < 0:
-            raise ValueError(f"margin must be >= 0, got {margin}")
+        validate_count("cell_size", cell_size, 1)
+        validate_count("margin", margin)
         for color in palette:
             if not color or any(ch in color for ch in MARKUP_CHARS):
                 raise ValueError(f"palette entries must be non-empty and free of "

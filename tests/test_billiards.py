@@ -21,6 +21,7 @@ from arithbilliards.billiards import (
     simulate,
     step_length,
 )
+from arithbilliards.circseq import SeqSpec, circ_seq, circ_seq_closed, gen_function, series_expand
 from arithbilliards.core import (
     BudgetExceededError,
     DirectionMask,
@@ -320,6 +321,27 @@ class TestNonIntegerCoordinates:
         ]
         for call in calls:
             with pytest.raises(ValueError, match="integers"):
+                call()
+
+
+class TestNonIntegerCounts:
+    """A count that is not an ``int``, or is a ``bool``, is refused with
+    ValueError, like SeqSpec's fields, instead of a float answer, a TypeError
+    or a step walked for ``True``."""
+
+    @pytest.mark.parametrize("value", [2.5, 24.0, True, "3"])
+    def test_counts(self, value):
+        g = GridSpec((4, 3))
+        spec = SeqSpec("+", 1, 3)
+        calls = [
+            lambda: circ_seq(spec, value),
+            lambda: circ_seq_closed(spec, value),
+            lambda: series_expand(gen_function(spec), value),
+            lambda: simulate(g, Point((2, 2)), ASC2, value),
+            lambda: first_closure(g, PhaseState((2, 2)), value),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be an integer"):
                 call()
 
 

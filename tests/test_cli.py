@@ -217,6 +217,20 @@ class TestReach:
         assert code == cli.EXIT_BUDGET == 3
         assert doc["error"]["type"] == "BudgetExceededError"
 
+    def test_verify_refusal_keeps_law_answer(self, capsys):
+        # the oracle's 2*lcm = 17,999,994,000,000 steps are refused; the
+        # congruence answer is still reported next to the error, as count does
+        argv = ["reach", "--dims", "3000000,2999999", "--from", "0,0", "--to", "1,1"]
+        code, law = run(capsys, *argv)
+        assert code == 0
+        code, doc = run(capsys, *argv, "--verify")
+        assert code == cli.EXIT_BUDGET == 3
+        assert doc["error"]["type"] == "BudgetExceededError"
+        assert doc["payload"]["oracle_checked"] is False
+        for key in ("reachable", "witness_steps", "sign_choice"):
+            assert doc["payload"][key] == law["payload"][key]
+        assert doc["payload"]["reachable"] is True
+
     @pytest.mark.parametrize("direction", [[], ["--any-direction"]],
                              ids=["one-mask", "any-direction"])
     def test_merge_budget(self, capsys, monkeypatch, direction):

@@ -22,7 +22,7 @@ from arithbilliards.core import (
     Point,
     lift,
 )
-from support import ASC2, all_masks, all_points, grids
+from support import ASC2, all_masks, all_points, grids, peak_bytes
 
 
 def sign_loop(grid, source, mask, target):
@@ -141,6 +141,35 @@ class TestOracleEquivalence:
         expected = ReachAnswer(True, 1, (0,) * 62)
         assert light_reachable(g, src, DirectionMask.ascending(62), dst) == expected
         assert light_reachable_any(g, src, dst) == expected
+
+
+class TestResidueMerge:
+    """The merge holds residues only; the signs are read off at the least step."""
+
+    def test_coprime_sides_memory(self):
+        # eight odd prime sides under any direction: up to 4**7 live residues
+        # before the last coordinate, which streams into min (1.15 MB here;
+        # 1.92 MB when each residue also kept its least mask-and-signs key)
+        g = GridSpec((3, 5, 7, 11, 13, 17, 19, 23))
+        result, peak = peak_bytes(lambda: light_reachable_any(g, Point((1,) * 8), Point((2,) * 8)))
+        assert result == ReachAnswer(True, 1, (0,) * 8)
+        assert peak < 1.5e6
+
+    def test_wrong_merge_is_caught(self, monkeypatch):
+        # on 6x4, (0,1) is off the trajectory from (0,0); a merge one step late
+        # offers step 2, where neither coordinate reads its target, and the
+        # sign read-off refuses it instead of returning signs for it
+        g, src, dst = GridSpec((6, 4)), Point((0, 0)), Point((0, 1))
+        assert light_reachable(g, src, ASC2, dst) == ReachAnswer(False, None, None)
+        merge = billiards._merge_stage
+
+        def one_late(r, v, stage):
+            k = merge(r, v, stage)
+            return None if k is None else k + 1
+
+        monkeypatch.setattr(billiards, "_merge_stage", one_late)
+        with pytest.raises(ArithmeticError, match="step 2 does not reach"):
+            light_reachable(g, src, ASC2, dst)
 
 
 class TestSignLoopReference:
