@@ -194,7 +194,11 @@ class OrbitIndex(Frozen):
     __slots__ = ("bits",)
 
     def __init__(self, bits: tuple[int, ...]) -> None:
-        object.__setattr__(self, "bits", tuple(bits))
+        bits = tuple(bits)
+        object.__setattr__(self, "bits", bits)
+        # DirectionMask's test, in two C-level counts
+        if bits.count(0) + bits.count(1) != len(bits):
+            raise ValueError(f"index bits must be 0 or 1, got {bits!r}")
 
 
 def validate_point(grid: GridSpec, point: Point) -> None:
@@ -336,18 +340,6 @@ def reverse(grid: GridSpec, state: PhaseState) -> PhaseState:
     return PhaseState(tuple((tm - u) % tm for u, tm in zip(state.residues, grid.two_m)))
 
 
-def _merge_congruence(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
-    """Merge ``k = r1 (mod m1)`` with ``k = r2 (mod m2)``; None if incompatible."""
-    g = math.gcd(m1, m2)
-    diff = r2 - r1
-    if diff % g:
-        return None
-    mg = m2 // g
-    t = (diff // g) * pow(m1 // g, -1, mg) % mg
-    m = m1 // g * m2
-    return (r1 + m1 * t) % m, m
-
-
 def crt_stages(moduli) -> list[tuple[int, int, int, int, int]]:
     """Constants for merging ``k = v_i (mod moduli[i])`` one modulus at a time.
 
@@ -383,15 +375,15 @@ def _merge_stage(r: int, v: int, stage) -> int | None:
 def solve_congruences(residues, moduli) -> int | None:
     """Least ``k >= 0`` satisfying all ``k = residues[i] (mod moduli[i])``.
 
-    Generalized CRT: the congruences are merged one at a time, the running
-    modulus being the lcm of the moduli merged so far.
+    Generalized CRT: :func:`_merge_stage` folds the congruences in one at a
+    time over :func:`crt_stages`, the running modulus being the lcm of the
+    moduli merged so far.  Residues may be unreduced.
     """
-    r, m = 0, 1
-    for a, mod in zip(residues, moduli):
-        merged = _merge_congruence(r, m, a % mod, mod)
-        if merged is None:
+    r = 0
+    for v, stage in zip(residues, crt_stages(moduli)):
+        r = _merge_stage(r, v, stage)
+        if r is None:
             return None
-        r, m = merged
     return r
 
 

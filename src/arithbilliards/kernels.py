@@ -57,7 +57,9 @@ on which coordinates sit at a wall, and the parity codes are counted, not
 sized.  From :mod:`arithbilliards.core` they take only the mixed-radix codec
 (first coordinate most significant), the residue runs :func:`core._cycle` and
 :func:`core._repeat` (not closed forms), and :func:`core.solve_congruences`,
-which is the law side of :func:`reach_scan`; never the closed-form helpers
+which is the law side of :func:`reach_scan`: it folds the CRT merge
+(``crt_stages``/``_merge_stage``) that ``light_reachable`` runs, so the
+oracle checks the merge users call.  Never the closed-form helpers
 (``tent_columns``, ``phase_columns``).
 
 Shared inputs.  The exhaustive sweeps compute each distinct input once and

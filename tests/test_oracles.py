@@ -173,6 +173,19 @@ class TestPlantedFault:
     def test_spurious_and_dropped_answers(self, monkeypatch, fault, dims, expected):
         assert scan_with_fault(monkeypatch, fault, dims) == expected
 
+    @pytest.mark.parametrize("dims,expected", [((6, 4), (4900, 4060)), ((3, 3, 3), (32768, 5888))])
+    def test_late_stage_merge_is_caught(self, monkeypatch, dims, expected):
+        # the law side solves through core._merge_stage, the merge that
+        # light_reachable runs, so a fault there is counted too
+        merge = core._merge_stage
+
+        def one_late(r, v, stage):
+            k = merge(r, v, stage)
+            return None if k is None else k + 1
+
+        monkeypatch.setattr(core, "_merge_stage", one_late)
+        assert kernels.reach_scan(list(dims)) == expected
+
 
 class TestReachScanBlocks:
     """reach_scan decides its source lifts a block at a time: its counts do

@@ -1,6 +1,7 @@
 """Congruence-based reachability versus the full-period iteration oracle."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -235,3 +236,17 @@ class TestSolveCongruences:
     def test_least_solution(self):
         k = solve_congruences([9, 1], [12, 8])
         assert k == 9
+
+    @pytest.mark.parametrize("p,max_m", [(2, 12), (3, 6)])
+    def test_every_residue_vector(self, p, max_m):
+        # against a table of the least k per residue vector, filled by
+        # iterating k over one lcm; residues shifted by -1 and +2 moduli too
+        for moduli in grids(p, max_m):
+            least = {}
+            for k in range(math.lcm(*moduli)):
+                least.setdefault(tuple(k % m for m in moduli), k)
+            for residues in itertools.product(*map(range, moduli)):
+                for shift in (0, -1, 2):
+                    shifted = [r + shift * m for r, m in zip(residues, moduli)]
+                    assert solve_congruences(shifted, moduli) == least.get(residues), (
+                        moduli, shifted)

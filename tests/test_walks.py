@@ -81,6 +81,12 @@ class TestOrbitSize:
         with pytest.raises(ValueError):
             orbit_size(GridSpec((2, 2)), OrbitIndex((0, 1)))
 
+    @pytest.mark.parametrize("bits", [(5,), (-1,), (2,), (0, 2), (1, None)])
+    def test_index_bits_checked(self, bits):
+        # no orbit has such an index, so orbit_size must never count one
+        with pytest.raises(ValueError, match="0 or 1"):
+            OrbitIndex(bits)
+
 
 class TestOrbitPartition:
     def test_6x4(self):
