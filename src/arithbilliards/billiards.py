@@ -26,7 +26,6 @@ from arithbilliards.core import (
     crt_stages,
     decode_state,
     phase_columns,
-    project,
     solve_congruences,
     tent_columns,
     validate_count,

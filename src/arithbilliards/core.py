@@ -235,10 +235,13 @@ def validate_count(name: str, n, least: int = 0) -> None:
 def make_state(grid: GridSpec, residues) -> PhaseState:
     """Build a PhaseState, reducing each residue modulo its ``2*m_i`` circle.
 
-    Accepts "unrolled" residues (e.g. a step counter that was never wrapped).
+    Accepts "unrolled" residues (e.g. a step counter that was never wrapped),
+    but each must be an ``int`` (not a ``bool``), as :func:`validate_state` asks.
     """
     if len(residues) != grid.p:
         raise ValueError(f"residue arity {len(residues)} does not match grid arity {grid.p}")
+    if any(type(u) is not int for u in residues):
+        raise ValueError(f"state residues must be integers, got {tuple(residues)!r}")
     return PhaseState(tuple(u % tm for u, tm in zip(residues, grid.two_m)))
 
 

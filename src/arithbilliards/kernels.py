@@ -5,13 +5,12 @@ phase dynamics instead and are what the test suite checks those forms
 against.  Each walk exists once: :func:`least_closure` and
 :func:`period_sums` are the bodies of :func:`billiards.first_closure` and
 :func:`billiards.coordinate_sums`; :func:`first_visit` is the one-target
-reachability walk of :func:`billiards.light_reachable_oracle`, and
-:func:`reach_scan` walks every source lift of a block at once, against
-every target; :func:`_mark_orbit` is the orbit walk of :func:`trace_paths`
-(run for a seed and its reversal); :func:`bfs_from` is the diagonal-move
-BFS of :func:`bfs_components` and :func:`walks.find_walk_bfs`; and
-:func:`parity_counts` is the point count of
-:func:`walks.orbit_sizes_bruteforce`.
+reachability walk of :func:`billiards.light_reachable_oracle`;
+:func:`_orbit_blocks` is the orbit walk of :func:`trace_paths` (run for a
+seed and its reversal) and of :func:`reach_scan` (run once, from the zero
+state); :func:`bfs_from` is the diagonal-move BFS of :func:`bfs_components`
+and :func:`walks.find_walk_bfs`; and :func:`parity_counts` is the point
+count of :func:`walks.orbit_sizes_bruteforce`.
 
 Column walks.  A trajectory is walked in blocks of at most :data:`BLOCK`
 steps.  Within a block each coordinate is stepped once around its own phase
@@ -24,11 +23,7 @@ states), and AND of integer bit masks for "every coordinate matches at step
 k".  A column never holds more than one block, so a short walk on a grid
 with a long side costs O(steps), not O(m_i).  The mask of one coordinate
 (:func:`_residue_mask`) marks where its at most two matching residues fall
-in the block, each a run of bits ``2*m_i`` apart.  :func:`reach_scan` walks
-a block of sources at once, and streams its law side the same way: each
-entry's column per coordinate is read from one per-grid table by residue
-(:func:`_residue_columns`), the walk's entries being its steps and the law
-side's the residue-difference vectors the CRT solves.  The per-call walks
+in the block, each a run of bits ``2*m_i`` apart.  The per-call walks
 read their masks from two tables bounded at :data:`MASKS` entries
 (``functools.lru_cache``) and keyed by plain ints, :func:`_closure_mask` by
 (residue, ``2*m_i``, block) and :func:`_target_mask` by (target coordinate,
@@ -74,14 +69,17 @@ exhaustive:
   and no orbit or shift structure.  Each state then combines its own ``p``
   entries: the closure masks are ANDed over every state at once by
   :func:`_tile`, and a state still open after that block walks on alone.
-- :func:`reach_scan` lifts every (source, mask) pair to its phase state and
-  decides each distinct lift once, against every target, by both methods.
-  Triples with equal source lifts give both sides identical inputs, so each
-  gets the verdict it would get alone.  Lifts are decided a block at a
-  time, each streaming the same entries it would stream alone.  The law
-  side's per-grid input is the list of solved residue-difference vectors,
-  each with its CRT answer, solved once per vector: a vector's answer is
-  the same from every source lift.
+- :func:`reach_scan` tabulates one answer per residue-difference vector
+  ``d`` on each side.  From a source lift ``u``, the state ``u + d`` is
+  first met at the least ``k`` with ``k = d_i (mod 2*m_i)`` for every
+  ``i``, which depends on ``d`` alone: the law side solves that system once
+  per ``d``, and the walk meets ``d`` from the zero state.  Both sides read
+  a triple's answer off their table alike, as the least ``(k, signs)`` over
+  the target's lifts ``v`` at ``d = v - u``, so a triple whose vectors all
+  have equal entries gets equal answers, and equal tables decide every
+  triple.  Where the tables differ, each (source lift, target) pair reached
+  through a differing vector is answered from both and counted once per
+  (source, mask) pair lifting to ``u``.
 
 All functions take plain dimension lists and return plain ints, lists or
 dicts.  Callers are responsible for validation and budget checks; these
@@ -95,14 +93,13 @@ import math
 from array import array
 from collections import Counter, deque
 from functools import lru_cache, reduce
-from operator import add, and_, is_not, ne, not_, xor
+from operator import add, and_, ne, not_, xor
 
 from arithbilliards.core import _cycle, _repeat, decode_digits, encode_digits, solve_congruences
 
 BACKEND = "python"
 BLOCK = 1024  # steps per block of a column walk
 PARITY_BLOCK = 1 << 14  # points per block of parity codes
-REACH_BLOCK = 1 << 13  # (source lift, point) entries per first-visit table of reach_scan
 MASKS = 256  # entries per table of per-coordinate masks
 
 
@@ -126,28 +123,31 @@ def trace_paths(two_m) -> list[tuple[int, int]]:
     seed = visited.find(0)
     while seed >= 0:
         base = decode_digits(seed, two_m)
-        _mark_orbit(two_m, strides, base, period, visited)
+        for codes in _orbit_blocks(two_m, strides, base, period):
+            for idx in codes:
+                visited[idx] = 1
         neg = [(tm - u) % tm for u, tm in zip(base, two_m)]
         self_paired = visited[encode_digits(neg, two_m)]
         if not self_paired:
-            _mark_orbit(two_m, strides, neg, period, visited)
+            for codes in _orbit_blocks(two_m, strides, neg, period):
+                for idx in codes:
+                    visited[idx] = 1
         out.append((seed, self_paired))
         seed = visited.find(0, seed + 1)
     return out
 
 
-def _mark_orbit(two_m, strides, residues, period: int, visited: bytearray) -> None:
-    """Set ``visited`` at the encoded states ``residues + k`` for every step
-    ``k`` of one period, a block at a time: each coordinate's column of
-    residues, scaled by its stride, summed into the block's state indexes."""
+def _orbit_blocks(two_m, strides, residues, period: int):
+    """The encoded states ``residues + k`` for every step ``k`` of one
+    period, one block at a time: each coordinate's column of residues,
+    scaled by its stride, summed into the block's state indexes."""
     for k0 in range(0, period, BLOCK):
         n = min(BLOCK, period - k0)
         codes = None
         for u, tm, stride in zip(residues, two_m, strides):
             col = _repeat([r * stride for r in _cycle(u + k0, tm, n)], n)
             codes = col if codes is None else map(add, codes, col)
-        for idx in codes:
-            visited[idx] = 1
+        yield codes
 
 
 def _tile(columns, op, table):
@@ -280,62 +280,6 @@ def first_visit(dims, residues, target, limit: int) -> tuple[int, tuple[int, ...
     return None
 
 
-def _block_shape(two_m, cap: int) -> list[int]:
-    """How many consecutive residues of each coordinate one block of
-    :func:`reach_scan` sources spans: every residue of the last coordinates
-    while at most ``cap`` sources fit, then a run of the next coordinate
-    (the largest divisor of its ``2*m_i`` that still fits, so that its runs
-    tile the circle), and one residue of each coordinate before."""
-    lens = [1] * len(two_m)
-    size = 1
-    for i in reversed(range(len(two_m))):
-        tm = two_m[i]
-        lens[i] = max(d for d in range(1, tm + 1) if tm % d == 0 and size * d <= cap)
-        if lens[i] < tm:
-            break
-        size *= tm
-    return lens
-
-
-def _residue_columns(dims, lens, n_points: int):
-    """Per coordinate and residue ``r``, the key and sign columns of
-    :func:`reach_scan`'s two streams over a block of sources.
-
-    A block takes ``lens[i]`` consecutive residues ``s_i + q_i`` of each
-    coordinate, in mixed-radix order (source ``j = sum(q_i * inner_i)``).
-    An entry with residue difference ``d_i`` (``k mod 2*m_i`` at the walk's
-    step ``k``) reads residue ``r = s_i + d_i``, whose key column holds for
-    each source coordinate ``i``'s share of the visit key
-    ``j * n_points + point``:
-    ``(m_i - |m_i - (r + q_i)|) * point_stride_i + q_i * inner_i * n_points``.
-    The sign column holds its sign bit, set on the descending branch.
-    """
-    p = len(dims)
-    keys, signs = [], []
-    for i, (m, n) in enumerate(zip(dims, lens)):
-        stride = math.prod(x + 1 for x in dims[i + 1:])
-        inner, outer = math.prod(lens[i + 1:]), math.prod(lens[:i])
-        bit = 1 << (p - 1 - i)
-        # entries r .. r+n-1 of these are the n residues from r on, wrapped
-        turns = [x % (2 * m) for x in range(2 * m + n - 1)]
-        points = [(m - abs(m - x)) * stride for x in turns]
-        bits = [bit if x > m else 0 for x in turns]
-        shares = range(0, n * inner * n_points, inner * n_points)
-        keys.append([_spread(list(map(add, points[r:r + n], shares)), inner, outer)
-                     for r in range(2 * m)])
-        signs.append([_spread(bits[r:r + n], inner, outer) for r in range(2 * m)])
-    return keys, signs
-
-
-def _spread(column, inner: int, outer: int) -> list[int]:
-    """One coordinate's ``column`` over a block of sources in mixed-radix
-    order: each entry repeated ``inner`` times, the whole ``outer`` times.
-    All C-level; :func:`_tile` would run Python once per entry of every
-    coordinate's column."""
-    return list(itertools.chain.from_iterable(
-        map(itertools.repeat, column, itertools.repeat(inner)))) * outer
-
-
 def reach_scan(dims) -> tuple[int, int]:
     """Exhaustive reachability cross-check over one grid.
 
@@ -343,29 +287,16 @@ def reach_scan(dims) -> tuple[int, int]:
     reachability twice: by merging per-coordinate congruences, and by walking
     the full 2*lcm period and recording first visits.  Answers must agree on
     reachability, least witness, and the sign choice of the target lift.
-    Triples whose (source, mask) pairs lift to the same phase state are
-    decided once and counted once each.
 
-    Both sides write an answer as ``k * 2**p + signs``, and "unreachable" as
-    one value above every answer either side can give.  The law side calls
-    :func:`core.solve_congruences` once on every residue-difference vector
-    ``d``; a solved ``d`` says that the phase state ``u + d`` is reached from
-    the source lift ``u`` at step ``k``.  Per target it takes the least of
-    these over the target's lifts (the phase states projecting onto it, each
-    with its sign bits; ties keep the lexicographically first signs).
-
-    Source lifts are decided in blocks (:func:`_block_shape`) of at most
-    ``max(1, REACH_BLOCK // n_points)``, so a block of more than one holds
-    at most :data:`REACH_BLOCK` entries per table.  Per block, each side
-    streams its entries in descending order of ``k`` into its own
-    first-visit table indexed by visit key ``j * n_points + point``, from
-    the same per-coordinate columns (:func:`_residue_columns`), so the least
-    ``k`` is written last (:func:`_visit_stream`): the walk every step ``k``
-    with ``d = k mod 2*m``, the law side every solved ``d`` with its ``k``.
-    With a correct solver each side streams ``2*lcm(dims)`` entries per
-    source.  Vectors that share one answer (only a faulty solver gives them)
-    are merged into the table by min.  One comparison per block weights
-    each verdict by the (source, mask) pairs sharing its lift.
+    Each side is one table of first steps, one entry per residue-difference
+    vector in encoding order (None where there is none): the law side calls
+    :func:`core.solve_congruences` once per vector, and the walk writes the
+    steps of one period from the zero state, the least last.  A triple reads
+    its answer off either table alike (:func:`_least`; see the module's
+    "Shared inputs").  Only the (source lift, target) pairs reached through a
+    vector on which the tables differ are answered, each counted once per
+    (source, mask) pair lifting to the source lift: ``2**w`` of them, where
+    ``w`` of its coordinates lie on a wall (residue 0 or ``m_i``).
 
     Returns ``(n_checked, n_mismatch)``.
     """
@@ -376,81 +307,42 @@ def reach_scan(dims) -> tuple[int, int]:
     strides = [math.prod(two_m[i + 1:]) for i in range(p)]
     n_points = math.prod(m + 1 for m in dims)
 
-    # Least solution per residue-difference vector, solved once by CRT merge;
-    # the solved vectors in descending order of answer.
-    diffs = list(itertools.product(*map(range, two_m)))
-    crt = list(map(solve_congruences, diffs, itertools.repeat(two_m)))
-    solved = sorted(itertools.compress(zip(crt, diffs), map(is_not, crt, itertools.repeat(None))),
-                    reverse=True)
-    unreachable = max(period, solved[0][0] + 1 if solved else 0) << p
-    repeats = Counter(k for k, _ in solved)
-    law = _entries(solved, p)
-    law_tied = _entries([(k, d) for k, d in solved if repeats[k] > 1], p)
-    # the walk's steps k descending, each with its difference k mod 2*m_i
-    walk = ([k << p for k in reversed(range(period))],
-            [list(reversed(range(tm))) * (period // tm) for tm in two_m])
+    # one CRT solve per vector, in encoding order
+    law = list(map(solve_congruences, itertools.product(*map(range, two_m)), itertools.repeat(two_m)))
+    # the vectors the walk from the zero state meets, step by step
+    met = list(itertools.chain.from_iterable(_orbit_blocks(two_m, strides, [0] * p, period)))
+    walk = [None] * len(law)
+    deque(map(walk.__setitem__, reversed(met), reversed(range(period))), maxlen=0)
 
-    # Every (source, mask) pair lifted to its phase state: a source coordinate
-    # on a wall lifts alike under both signs, so pairs share lifts, and each
-    # distinct lift is decided once and counted once per pair giving it.
-    shared = Counter(_tile(
-        [[(x if not a else (tm - x) % tm) * stride for x in range(m + 1) for a in (0, 1)]
-         for m, tm, stride in zip(dims, two_m, strides)], add, [0]))
-
-    lens = _block_shape(two_m, max(1, REACH_BLOCK // n_points))
-    size = math.prod(lens)
-    columns = _residue_columns(dims, lens, n_points)
-    # source j of a block starting at lift s is s + q, at state index s's
-    # plus rel_state[j]
-    rel_state = _tile([[q * stride for q in range(n)] for n, stride in zip(lens, strides)],
-                      add, [0])
-
-    checked = 0
+    # every triple: per coordinate, the 2*m_i - 2 inside residues lift one
+    # (source, mask) pair each and the two wall residues two each
+    checked = n_points * math.prod(tm + 2 for tm in two_m)
+    if law == walk:
+        return checked, 0
+    differ = [decode_digits(e, two_m) for e, (a, b) in enumerate(zip(law, walk)) if a != b]
     mismatch = 0
-    for starts in itertools.product(*[range(0, tm, n) for tm, n in zip(two_m, lens)]):
-        by_walk = [unreachable] * (size * n_points)
-        deque(map(by_walk.__setitem__, *_visit_stream(columns, starts, walk, size)), maxlen=0)
-        by_law = [unreachable] * (size * n_points)
-        deque(map(by_law.__setitem__, *_visit_stream(columns, starts, law, size)), maxlen=0)
-        # vectors sharing one answer: the least signs per visit key wins
-        for key, code in zip(*_visit_stream(columns, starts, law_tied, size)):
-            if code < by_law[key]:
-                by_law[key] = code
-
-        base = sum(s * stride for s, stride in zip(starts, strides))
-        times = list(map(shared.__getitem__, map(add, rel_state, itertools.repeat(base))))
-        if by_law != by_walk:
-            weights = _spread(times, n_points, 1)
-            mismatch += sum(itertools.compress(weights, map(ne, by_law, by_walk)))
-        checked += n_points * sum(times)
+    for u in itertools.product(*map(range, two_m)):
+        targets = {tuple([m - abs(m - (x + y) % tm) for x, y, m, tm in zip(u, d, dims, two_m)])
+                   for d in differ}
+        lifts = [_target_lifts(dims, two_m, u, t) for t in targets]
+        wrong = sum(_least(law, vs) != _least(walk, vs) for vs in lifts)
+        mismatch += wrong << sum(x % m == 0 for x, m in zip(u, dims))
     return checked, mismatch
 
 
-def _entries(pairs, p: int):
-    """``(k, d)`` pairs, as one side of :func:`reach_scan` streams them: the
-    shares ``k * 2**p`` of their answers, and per coordinate the column of
-    their residue differences ``d_i``."""
-    ks, ds = zip(*pairs) if pairs else ((), ())
-    return [k << p for k in ks], list(zip(*ds)) or [()] * p
+def _target_lifts(dims, two_m, u, target) -> list[tuple[int, tuple[int, ...]]]:
+    """``(d, signs)`` for each lift ``v`` of ``target``, as the source lift
+    ``u`` meets it: ``d`` encodes the residue difference ``v - u`` and
+    ``signs[i]`` is 1 where ``v_i`` is above ``m_i``."""
+    return [(encode_digits([(a - b) % tm for a, b, tm in zip(v, u, two_m)], two_m),
+             tuple([int(a > m) for a, m in zip(v, dims)]))
+            for v in itertools.product(*[{t, (tm - t) % tm} for t, tm in zip(target, two_m)])]
 
 
-def _visit_stream(columns, starts, entries, size: int):
-    """Visit keys and answers of ``entries`` (:func:`_entries`) for every
-    source of the :func:`reach_scan` block starting at lift ``starts``:
-    entry by entry, the block's column of each coordinate at residue
-    ``s_i + d_i``, summed over the coordinates, plus the entry's share."""
-    steps, diffs = entries
-    keys = signs = None
-    for key_cols, sign_cols, s, col in zip(*columns, starts, diffs):
-        # the columns turned so that entry d reads residue s + d
-        turned_k = key_cols[s:] + key_cols[:s]
-        turned_s = sign_cols[s:] + sign_cols[:s]
-        col_k = itertools.chain.from_iterable(map(turned_k.__getitem__, col))
-        col_s = itertools.chain.from_iterable(map(turned_s.__getitem__, col))
-        keys = col_k if keys is None else map(add, keys, col_k)
-        signs = col_s if signs is None else map(add, signs, col_s)
-    return keys, map(add, signs, itertools.chain.from_iterable(
-        map(itertools.repeat, steps, itertools.repeat(size))))
+def _least(table, lifts) -> tuple[int, tuple[int, ...]] | None:
+    """Least ``(k, signs)`` over ``lifts`` (:func:`_target_lifts`) at which a
+    :func:`reach_scan` table has a step ``k``; None if it has none."""
+    return min(((table[d], signs) for d, signs in lifts if table[d] is not None), default=None)
 
 
 def _period_sum(u: int, m: int, period: int) -> int:

@@ -2,8 +2,9 @@
 
 One test per acceptance criterion, each verified exactly (integer equality,
 exhaustive sweeps at the stated bounds) and reporting a PASS/FAIL line.
-The heavy sweeps (criteria 4, 5 and 8) run the oracle loops of
-:mod:`arithbilliards.kernels`; criterion 5 takes most of the suite's time.
+The heavy sweeps (criteria 4, 5, 8 and 9) run the oracle loops of
+:mod:`arithbilliards.kernels`; criterion 9's BFS and parity count takes the
+longest of them.
 """
 
 import itertools

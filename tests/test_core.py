@@ -118,6 +118,14 @@ class TestNonIntegerCoordinates:
             with pytest.raises(ValueError, match="integers"):
                 fn(g, PhaseState((0, value)))
 
+    @pytest.mark.parametrize("value", [0.5, 1.5, 0.0, True, "1"])
+    def test_make_state(self, value):
+        # unrolled residues may be any int, a negative one too, but only an int
+        g = GridSpec((6, 4))
+        assert make_state(g, (-1, 2)).residues == (11, 2)
+        with pytest.raises(ValueError, match="integers"):
+            make_state(g, (value, 2))
+
 
 class TestLift:
     def test_ascending_is_identity_embedding(self):

@@ -16,7 +16,7 @@ from arithbilliards.billiards import (
 )
 from arithbilliards.core import DirectionMask, GridSpec, PhaseState, Point, lift
 from arithbilliards.walks import bfs_component_ids, find_walk_bfs, orbit_sizes_bruteforce
-from support import ASC2, all_masks, all_points, all_states, peak_bytes
+from support import ASC2, all_masks, all_points, all_states, grids, peak_bytes
 
 
 def reference_closure(two_m, residues, limit):
@@ -188,33 +188,53 @@ class TestPlantedFault:
 
 
 class TestReachScanBlocks:
-    """reach_scan decides its source lifts a block at a time: its counts do
-    not depend on the block size, and its blocks bound its memory."""
-
-    # 1: one source per block; 1000: a run of 2 to 5 residues of one
-    # coordinate after whole later ones; 1 << 20: every source in one block
-    @pytest.mark.parametrize("block", [1, 1000, 1 << 20])
-    @pytest.mark.parametrize("dims,expected", [
-        ((6, 4), (4900, 264)),
-        ((3, 3, 3), (32768, 504)),
-        ((1, 5, 2), (10368, 400)),
-    ])
-    def test_planted_fault_counts_for_any_block(self, monkeypatch, block, dims, expected):
-        monkeypatch.setattr(kernels, "REACH_BLOCK", block)
-        assert scan_with_fault(monkeypatch, "late", dims) == expected
-
-    @pytest.mark.parametrize("block", [1, 1 << 13, 1 << 20])
-    @pytest.mark.parametrize("fault,dims,expected", SPURIOUS_AND_DROPPED)
-    def test_spurious_and_dropped_for_any_block(self, monkeypatch, block, fault, dims, expected):
-        monkeypatch.setattr(kernels, "REACH_BLOCK", block)
-        assert scan_with_fault(monkeypatch, fault, dims) == expected
+    """reach_scan holds one table per side, so its memory is bounded by the
+    grid's phase states, not by the triples it checks."""
 
     def test_memory_stays_blocked(self):
-        # one source lift per block peaks at 0.33 MB, the default blocks of
-        # twelve lifts at 0.26 MB, and one batch of all 1,728 lifts at 10 MB
+        # two tables of 1,728 entries each peak at about 30 KB
         result, peak = peak_bytes(lambda: kernels.reach_scan([6, 6, 6]))
         assert result == (7**6 * 2**3, 0)
-        assert peak < 1 << 19
+        assert peak < 1 << 17
+
+
+def reference_reach_scan(dims, solve):
+    """``(checked, mismatch)`` of :func:`kernels.reach_scan`, one triple at a
+    time: the law's answer is the least ``(solve answer, signs)`` over the
+    target's lifts, the walk's the first visit of one period walked step by
+    step (:func:`reference_first_visits`)."""
+    g = GridSpec(dims)
+    points = all_points(g)
+    checked = mismatch = 0
+    for src in points:
+        for mask in all_masks(g.p):
+            u = lift(g, src, mask).residues
+            seen = reference_first_visits(g, u)
+            for tgt in points:
+                answers = []
+                for v in set(itertools.product(*[(x, (tm - x) % tm)
+                                                 for x, tm in zip(tgt.coords, g.two_m)])):
+                    k = solve(tuple((a - b) % tm for a, b, tm in zip(v, u, g.two_m)), g.two_m)
+                    if k is not None:
+                        answers.append((k, tuple(int(a > m) for a, m in zip(v, g.dims))))
+                walked = seen.get(tgt.coords)
+                checked += 1
+                mismatch += min(answers, default=None) != (
+                    None if walked is None else (walked.witness_steps, walked.sign_choice))
+    return checked, mismatch
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+@pytest.mark.parametrize("dims", [*grids(2, 3), *grids(3, 2), (6, 4)])
+def test_reach_scan_matches_reference(monkeypatch, fault, dims):
+    solve = core.solve_congruences
+    if fault is None:
+        assert kernels.reach_scan(list(dims)) == reference_reach_scan(dims, solve)
+    else:
+        def faulty(residues, moduli):
+            return FAULTS[fault](solve(residues, moduli), residues)
+
+        assert scan_with_fault(monkeypatch, fault, dims) == reference_reach_scan(dims, faulty)
 
 
 class TestMaskTables:
