@@ -9,9 +9,11 @@ closed loops.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from enum import Enum
+from itertools import cycle, islice, product, repeat
+from operator import eq
 
 from arithbilliards import kernels
 from arithbilliards.core import (
@@ -20,14 +22,13 @@ from arithbilliards.core import (
     GridSpec,
     PhaseState,
     Point,
+    _cycle,
     _lift_residues,
     _merge_stage,
     check_budget,
     crt_stages,
     decode_state,
-    phase_columns,
     solve_congruences,
-    tent_columns,
     validate_count,
     validate_mask,
     validate_point,
@@ -59,10 +60,76 @@ class Path(Frozen):
         object.__setattr__(self, "distinct_segments", distinct_segments)
 
 
+class PeriodicSequence(Sequence):
+    """A read-only sequence of ``length`` items, item ``k`` being
+    ``kind((c[k % len(c)] for c in cycles))``: one repeating cycle per coordinate.
+
+    Items are built on access.  Indexes may be negative; a slice returns a
+    tuple.  It equals any tuple or sequence of this class with the same
+    items, and hashes as that tuple does.  Its fields refuse assignment and
+    it pickles as :class:`core.Frozen` values do, but it is not one: it
+    compares and prints as a sequence.
+    """
+
+    __slots__ = ("kind", "cycles", "length")
+    __setattr__ = Frozen.__setattr__
+    __delattr__ = Frozen.__delattr__
+    __reduce__ = Frozen.__reduce__
+
+    def __init__(self, kind: type, cycles, length: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "cycles", tuple(cycles))
+        object.__setattr__(self, "length", length)
+
+    def rows(self, ks: range | None = None):
+        """The coordinate tuples of the items at the indexes ``ks`` (a ``range``
+        within ``0 .. length-1``; all of them by default), without building items.
+
+        Over any ``range`` a coordinate's entries repeat with a period that
+        divides its cycle length ``L``, so the first ``L`` of them, cycled, are
+        all of them.
+        """
+        if ks is None:
+            ks = range(self.length)
+        return zip(*[islice(cycle([c[k % len(c)] for k in ks[:len(c)]]), len(ks))
+                     for c in self.cycles])
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(map(self.kind, self.rows(range(*key.indices(self.length)))))
+        try:
+            k = range(self.length)[key]  # TypeError for a non-index
+        except IndexError:
+            raise IndexError(f"step {key!r} outside 0..{self.length - 1}") from None
+        return self.kind(tuple([c[k % len(c)] for c in self.cycles]))
+
+    def __iter__(self):
+        return map(self.kind, self.rows())
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, PeriodicSequence)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        head = ", ".join(map(repr, self[:3])) + (", ..." if self.length > 3 else "")
+        return f"{type(self).__qualname__}([{head}], length={self.length})"
+
+
 class Trajectory(Frozen):
+    """The points and phase states of steps ``0 .. n``, as two sequences of
+    equal length: the :class:`PeriodicSequence` pair :func:`simulate` returns,
+    or tuples."""
+
     __slots__ = ("points", "states")
 
-    def __init__(self, points: tuple[Point, ...], states: tuple[PhaseState, ...]) -> None:
+    def __init__(self, points: Sequence[Point], states: Sequence[PhaseState]) -> None:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "states", states)
 
@@ -97,25 +164,21 @@ def geometric_length(grid: GridSpec) -> float:
 def simulate(grid: GridSpec, start: Point, mask: DirectionMask, n_steps: int) -> Trajectory:
     """Walk ``n_steps`` unit diagonals from ``start``, initially along ``mask``.
 
-    The trajectory repeats every ``2*lcm(dims)`` steps, so only the first
-    period (or less) of :class:`Point`/:class:`PhaseState` objects is built,
-    from :func:`core.tent_columns` and :func:`core.phase_columns`; longer
-    trajectories repeat references to those immutable objects.
+    Coordinate ``i`` of step ``k`` is phase ``(u_i + k) mod 2*m_i`` and position
+    ``m_i - |m_i - (u_i + k) mod 2*m_i|``, so the trajectory's points and states
+    are :class:`PeriodicSequence` objects of ``n_steps + 1`` items over one cycle
+    of at most ``2*m_i`` entries per coordinate: memory is
+    ``sum(min(n_steps + 1, 2*m_i))``, not one object per step.  The steps are
+    charged to the budget all the same.
     """
     validate_point(grid, start)
     validate_mask(grid, mask)
     validate_count("n_steps", n_steps)
     check_budget(n_steps, "steps")
-    period = step_length(grid)
-    count = min(n_steps + 1, period)
-    residues = _lift_residues(grid, start, mask)
-    points = tuple(map(Point, zip(*tent_columns(grid, residues, count))))
-    states = tuple(map(PhaseState, zip(*phase_columns(grid, residues, count))))
-    if count < n_steps + 1:
-        reps, rest = divmod(n_steps + 1, period)
-        points = points * reps + points[:rest]
-        states = states * reps + states[:rest]
-    return Trajectory(points, states)
+    n = n_steps + 1
+    phases = [_cycle(u, tm, n) for u, tm in zip(_lift_residues(grid, start, mask), grid.two_m)]
+    positions = [tuple([m - abs(m - r) for r in c]) for c, m in zip(phases, grid.dims)]
+    return Trajectory(PeriodicSequence(Point, positions, n), PeriodicSequence(PhaseState, phases, n))
 
 
 def first_closure(grid: GridSpec, state: PhaseState, limit: int) -> int | None:
@@ -166,11 +229,22 @@ def enumerate_paths(grid: GridSpec) -> list[Path]:
     """All geometric paths of the grid, from the canonical states of the step orbits.
 
     The step orbits are the cosets of the diagonal ``(1, ..., 1)`` in
-    ``prod Z_{2*m_i}``.  The least state of an orbit is ``(0, r_2, ..., r_p)``
-    with ``0 <= r_i < g_i = gcd(lcm(2*m_1, ..., 2*m_{i-1}), 2*m_i)``, and every
+    ``prod Z_{2*m_i}``.  The least state of an orbit is ``(0, c_2, ..., c_p)``
+    with ``0 <= c_i < g_i = gcd(lcm(2*m_1, ..., 2*m_{i-1}), 2*m_i)``, and every
     such tuple is the least state of exactly one orbit.  A path is an orbit
     ``c`` together with the orbit of ``-c``; it is reported once, from the
     smaller of the two least states, and is open when they coincide.
+
+    The comparison is decided at the first coordinate that differs.  Under a
+    prefix equal to its reversal's, coordinate ``i`` of the reversal's least
+    state is ``low = (shift - c) mod g_i``, ``shift`` being the step (a
+    multiple of ``2*m_1``) that brings the reversal's earlier coordinates to
+    their least values.  With ``s = shift mod g_i``, which is even as ``g_i``
+    is, ``c < low`` on ``0 <= c < s/2`` and on ``s < c < (s + g_i)/2``: every
+    extension is a closed path, emitted as a block.  ``c == low`` at
+    ``c = s/2`` and at ``c = (s + g_i)/2``: the walk descends there, and its
+    ``2**(p-1)`` leaves are the open paths.  Every other ``c`` is the larger
+    of its pair and is skipped.
 
     Returns one :class:`Path` per geometric path in ascending order of
     representative, exactly as :func:`enumerate_paths_exhaustive` does.
@@ -181,21 +255,25 @@ def enumerate_paths(grid: GridSpec) -> list[Path]:
     # the coordinates after the first, each with the lcm of the moduli
     # before it, their gcd g, and the inverse of lcm/g modulo 2*m_i/g
     stages = crt_stages(grid.two_m)[1:]
+    ranges = [range(g) for _, _, g, _, _ in stages]
     paths = []
-    for tail in itertools.product(*[range(g) for _, _, g, _, _ in stages]):
-        # least state on the orbit of -c, whose first coordinate is already 0:
-        # shifting by a multiple of the lcm of the earlier moduli keeps the
-        # earlier coordinates and brings coordinate i down to its value mod g
-        shift = 0
-        least = []
-        for c, (_, tm, g, lcm_g, inv) in zip(tail, stages):
+    closed = (repeat(PathKind.CLOSED), repeat(k), repeat(k))
+
+    def descend(prefix, shift, i):
+        if i == len(stages):
+            paths.append(_path(PhaseState(prefix), True, k))
+            return
+        _, tm, g, lcm_g, inv = stages[i]
+        half = shift % g // 2
+        for first, c in ((0, half), (2 * half + 1, half + g // 2)):
+            block = product(range(first, c), *ranges[i + 1:])
+            paths.extend(map(Path, map(PhaseState, map(prefix.__add__, block)), *closed))
+            # shifting by a multiple of the lcm of the earlier moduli keeps
+            # the earlier coordinates and brings coordinate i down to c
             v = (shift - c) % tm
-            low = v % g
-            shift += lcm_g * ((low - v) * inv % tm)
-            least.append(low)
-        reverse_tail = tuple(least)
-        if tail <= reverse_tail:
-            paths.append(_path(PhaseState((0,) + tail), tail == reverse_tail, k))
+            descend(prefix + (c,), shift + lcm_g * ((c - v) * inv % tm), i + 1)
+
+    descend((0,), 0, 0)
     return paths
 
 

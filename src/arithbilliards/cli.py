@@ -106,7 +106,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
     traj = billiards.simulate(grid, start, mask, args.steps)
     closed_at = billiards.first_closure(grid, traj.states[0], args.steps)
     payload = {
-        "points": [list(p.coords) for p in traj.points],
+        "points": list(map(list, traj.points.rows())),
         "closed_at": closed_at,
     }
     return payload, EXIT_OK

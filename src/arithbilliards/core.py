@@ -164,8 +164,10 @@ class DirectionMask(Frozen):
     def __init__(self, signs: tuple[int, ...]) -> None:
         signs = tuple(signs)
         object.__setattr__(self, "signs", signs)
-        if any(s not in (0, 1) for s in signs):
-            raise ValueError(f"mask signs must be 0 or 1, got {signs!r}")
+        # C-level counts: every value 0 or 1, and every type exactly int (no bool or float)
+        n = len(signs)
+        if signs.count(0) + signs.count(1) != n or [*map(type, signs)].count(int) != n:
+            raise ValueError(f"mask signs must be the ints 0 or 1, got {signs!r}")
 
     @classmethod
     def ascending(cls, p: int) -> "DirectionMask":
@@ -196,7 +198,7 @@ class OrbitIndex(Frozen):
     def __init__(self, bits: tuple[int, ...]) -> None:
         bits = tuple(bits)
         object.__setattr__(self, "bits", bits)
-        # DirectionMask's test, in two C-level counts
+        # the value test of DirectionMask, in two C-level counts
         if bits.count(0) + bits.count(1) != len(bits):
             raise ValueError(f"index bits must be 0 or 1, got {bits!r}")
 
@@ -294,13 +296,13 @@ def step_directed(grid: GridSpec, state: PhaseState, mask: DirectionMask) -> Pha
     )
 
 
-def _cycle(u: int, tm: int, n: int) -> range | list[int]:
+def _cycle(u: int, tm: int, n: int) -> range | tuple[int, ...]:
     """The first ``min(n, tm)`` residues ``u, u+1, ... (mod tm)``; a ``range`` unless they wrap."""
     u %= tm
     end = u + min(n, tm)
     if end <= tm:
         return range(u, end)
-    return [*range(u, tm), *range(end - tm)]
+    return (*range(u, tm), *range(end - tm))
 
 
 def _repeat(column, n: int):
@@ -308,29 +310,6 @@ def _repeat(column, n: int):
     if len(column) >= n:
         return column
     return ([*column] * -(-n // len(column)))[:n]
-
-
-def phase_columns(grid: GridSpec, residues, n: int) -> list:
-    """Residue columns of the states ``u + k`` for ``k = 0 .. n-1``.
-
-    ``columns[i][k] = (u_i + k) mod 2*m_i``.  Each column repeats one cycle of
-    at most ``min(n, 2*m_i)`` entries instead of stepping.  ``residues`` may be
-    unreduced.
-    """
-    return [_repeat(_cycle(u, tm, n), n) for u, tm in zip(residues, grid.two_m)]
-
-
-def tent_columns(grid: GridSpec, residues, n: int) -> list[list[int]]:
-    """Position columns of the states ``u + k`` for ``k = 0 .. n-1``.
-
-    ``columns[i][k]`` is the tent map ``m_i - |m_i - (u_i + k) mod 2*m_i|``,
-    built like :func:`phase_columns` from one cycle of at most
-    ``min(n, 2*m_i)`` entries.
-    """
-    return [
-        _repeat([m - abs(m - r) for r in _cycle(u, 2 * m, n)], n)
-        for u, m in zip(residues, grid.dims)
-    ]
 
 
 def reverse(grid: GridSpec, state: PhaseState) -> PhaseState:

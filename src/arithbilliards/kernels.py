@@ -54,8 +54,9 @@ sized.  From :mod:`arithbilliards.core` they take only the mixed-radix codec
 :func:`core._repeat` (not closed forms), and :func:`core.solve_congruences`,
 which is the law side of :func:`reach_scan`: it folds the CRT merge
 (``crt_stages``/``_merge_stage``) that ``light_reachable`` runs, so the
-oracle checks the merge users call.  Never the closed-form helpers
-(``tent_columns``, ``phase_columns``).
+oracle checks the merge users call.  Never the closed forms they check
+(the tent-map cycles of :func:`billiards.simulate`, the canonical states of
+:func:`billiards.enumerate_paths`).
 
 Shared inputs.  The exhaustive sweeps compute each distinct input once and
 count it once per state or triple that shares it, which keeps them

@@ -6,15 +6,18 @@ bottom-left.  Output is a pure function of the inputs: integer coordinates
 only, fixed attribute order, byte-identical across runs.
 
 Step ``k`` of a path sits at the tent map of ``(u_i + k) mod 2*m_i`` on each
-axis, so an axis of a drawing repeats a cycle of at most ``2*m_i`` positions
-and the ``points`` text is two periodic label sequences interleaved.  A call
-builds one label table per axis, ``"X,"`` or ``"Y "`` for each phase, maps
-each axis's cycle through it, repeats the labels out to the drawn length and
-interleaves the axes by slice assignment; no Python code runs per vertex.  A
-polyline holds a list of two references per vertex while its text (about 12 B
-per vertex at the default scale on ``(1000, 999)``) is joined, and the document
-is joined once from the polylines, so rendering every path of ``(1000, 999)``,
-1,998,002 vertices, peaks at about 23 B per drawn vertex (``tracemalloc``).
+axis, so the ``points`` text is two periodic label sequences interleaved.  A
+call builds one label table per axis, ``"X,"`` or ``"Y "`` for each phase
+``0 .. 2*m_i - 1``; a path's labels on an axis are one slice of that table
+repeated, ``(table * reps)[u:u + n]``, assigned into the text list by slice
+assignment before the other axis's are built, so no Python code runs per
+vertex.  A trajectory from :func:`billiards.simulate` is drawn from its
+position cycles, mapped through the table and repeated.  The grid lines are formatted from one ``range`` of screen
+coordinates per axis.  A polyline holds a list of two references per vertex
+while its text (about 12 B per vertex at the default scale on
+``(1000, 999)``) is joined, and the document is joined once from the
+polylines, so rendering every path of ``(1000, 999)``, 1,998,002 vertices,
+peaks at about 23 B per drawn vertex (``tracemalloc``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from operator import attrgetter
 from arithbilliards.billiards import (
     Path,
     PathKind,
+    PeriodicSequence,
     Trajectory,
     step_length,
     validate_path,
@@ -31,7 +35,6 @@ from arithbilliards.billiards import (
 from arithbilliards.core import (
     Frozen,
     GridSpec,
-    _cycle,
     _repeat,
     check_budget,
     solve_congruences,
@@ -69,24 +72,25 @@ class RenderOptions(Frozen):
                                  f"{MARKUP_CHARS}, got {color!r}")
 
 
-def _path_steps(grid: GridSpec, path: Path) -> int:
-    """Steps drawn for ``path``, a path of ``grid``: a full period if closed,
-    half if open."""
-    validate_path(grid, path)
-    k = step_length(grid)
-    return k if path.kind is PathKind.CLOSED else k // 2
-
-
 def _trajectory_columns(grid: GridSpec, trajectory: Trajectory) -> list[tuple[int, ...]]:
-    """The x and y columns of ``trajectory``'s points, checked to lie on ``grid``.
+    """The x and y position cycles of ``trajectory``'s points, checked to lie
+    on ``grid``: each axis's coordinates are its cycle repeated.
 
-    Each axis is checked on its set of distinct values: every coordinate must
-    be an ``int`` in ``0..m_i``, so it indexes that axis's label table.
+    A :class:`PeriodicSequence` gives its own cycles, so no point is built; a
+    tuple of points gives its whole columns.  Each axis is checked on its set
+    of distinct values: every coordinate must be an ``int`` in ``0..m_i``, so
+    it indexes that axis's label table.
     """
-    coords = list(map(attrgetter("coords"), trajectory.points))
-    if set(map(len, coords)) - {2}:
+    points = trajectory.points
+    if isinstance(points, PeriodicSequence):
+        columns = [cycle[:len(points)] for cycle in points.cycles]
+        arities = {len(columns)}
+    else:
+        coords = list(map(attrgetter("coords"), points))
+        columns = list(zip(*coords)) or [(), ()]
+        arities = set(map(len, coords))
+    if arities - {2}:
         raise ValueError("trajectory arity does not match the 2-D grid")
-    columns = list(zip(*coords)) or [(), ()]
     for i, (column, m) in enumerate(zip(columns, grid.dims)):
         if set(map(type, column)) - {int}:
             raise ValueError(f"trajectory coordinate x_{i + 1} must be an integer")
@@ -97,9 +101,8 @@ def _trajectory_columns(grid: GridSpec, trajectory: Trajectory) -> list[tuple[in
     return columns
 
 
-def _path_cycles(grid: GridSpec, path: Path, n: int) -> list[list[int]]:
-    """Phase cycles (one per coordinate, at most ``2*m_i`` entries) of the
-    ``n`` vertices drawn for a Path.
+def _path_start(grid: GridSpec, path: Path) -> list[int]:
+    """Phase of each coordinate at the first vertex drawn for a Path.
 
     Closed paths draw one full period (a loop) from the representative.  Open
     paths start from the first grid vertex on the orbit, the least ``k`` with
@@ -113,7 +116,7 @@ def _path_cycles(grid: GridSpec, path: Path, n: int) -> list[list[int]]:
         if to_vertex is None:
             raise ArithmeticError("open path orbit never reaches a grid vertex")
         residues = [u + to_vertex for u in residues]
-    return [_cycle(u, tm, n) for u, tm in zip(residues, grid.two_m)]
+    return [u % tm for u, tm in zip(residues, grid.two_m)]
 
 
 def _axis_labels(m: int, screen, end: str) -> list[str]:
@@ -126,18 +129,20 @@ def _axis_labels(m: int, screen, end: str) -> list[str]:
     return labels + labels[m - 1:0:-1]
 
 
-def _polyline(tables, columns, n: int, color: str) -> str:
+def _polyline(columns, n: int, color: str) -> str:
     """The ``<polyline>`` element through ``n`` vertices, joined once.
 
-    Each axis's column (a cycle, or all ``n`` coordinates) is mapped through
-    its label table and repeated out to ``n`` labels; the ``"X,"`` and
-    ``"Y "`` labels are interleaved by slice assignment after the opening
-    text, and the last element trades its trailing space for the closing text.
+    ``columns`` is an iterator yielding the ``n`` labels of each axis in
+    turn, ``"X,"`` then ``"Y "``; each is interleaved by slice assignment
+    after the opening text before the next is built, and the last element
+    trades its trailing space for the closing text.
     """
     text = [""] * (2 * n + 1)
     text[0] = '<polyline points="'
-    for axis, (table, column) in enumerate(zip(tables, columns)):
-        text[1 + axis::2] = _repeat(list(map(table.__getitem__, column)), n)
+    for axis in (0, 1):
+        # no loop tuple (enumerate's or zip's) keeps this axis's labels alive
+        # while the generator builds the next axis's
+        text[1 + axis::2] = next(columns)
     text[-1] = (text[-1].removesuffix(" ") + f'" fill="none" stroke="{color}" '
                 f'stroke-width="{PATH_STROKE_WIDTH}"/>')
     return "".join(text)
@@ -159,9 +164,12 @@ def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str
     # with the interior grid lines before any column or text is built
     items = list(paths)
     counts = []
+    k = step_length(grid)
     for item in items:
         if isinstance(item, Path):
-            counts.append(_path_steps(grid, item) + 1)
+            # a full period if closed, half if open
+            validate_path(grid, item)
+            counts.append((k if item.kind is PathKind.CLOSED else k // 2) + 1)
         elif isinstance(item, Trajectory):
             counts.append(len(item.points))
         else:
@@ -188,19 +196,21 @@ def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str
         f'<rect x="{sx(0)}" y="{sy(m2)}" width="{cell * m1}" height="{cell * m2}" '
         f'fill="white" stroke="black" stroke-width="{GRID_STROKE_WIDTH}"/>',
     ]
-    for x in range(1, m1):
-        parts.append(
-            f'<line x1="{sx(x)}" y1="{sy(0)}" x2="{sx(x)}" y2="{sy(m2)}" '
-            f'stroke="gray" stroke-width="{GRID_STROKE_WIDTH}"/>'
-        )
-    for y in range(1, m2):
-        parts.append(
-            f'<line x1="{sx(0)}" y1="{sy(y)}" x2="{sx(m1)}" y2="{sy(y)}" '
-            f'stroke="gray" stroke-width="{GRID_STROKE_WIDTH}"/>'
-        )
+    # the interior lines, x = 1 .. m1-1 then y = 1 .. m2-1, each written by
+    # one template from its axis's range of screen coordinates
+    stroke = f'stroke="gray" stroke-width="{GRID_STROKE_WIDTH}"/>'
+    parts += map(f'<line x1="{{0}}" y1="{sy(0)}" x2="{{0}}" y2="{sy(m2)}" {stroke}'.format,
+                 range(sx(1), sx(m1), cell))
+    parts += map(f'<line x1="{sx(0)}" y1="{{0}}" x2="{sx(m1)}" y2="{{0}}" {stroke}'.format,
+                 range(sy(1), sy(m2), -cell))
     tables = (_axis_labels(m1, sx, ","), _axis_labels(m2, sy, " ")) if drawn else ()
     for i, (item, n) in enumerate(drawn):
-        columns = _path_cycles(grid, item, n) if isinstance(item, Path) else item
-        parts.append(_polyline(tables, columns, n, opts.palette[i % len(opts.palette)]))
+        if isinstance(item, Path):
+            columns = ((table * -(-(u + n) // len(table)))[u:u + n]
+                       for table, u in zip(tables, _path_start(grid, item)))
+        else:
+            columns = (_repeat(list(map(table.__getitem__, column)), n)
+                       for table, column in zip(tables, item))
+        parts.append(_polyline(columns, n, opts.palette[i % len(opts.palette)]))
     parts.append("</svg>\n")
     return "\n".join(parts)

@@ -1,12 +1,15 @@
 """Trajectories, path enumeration/counting, boundary and coordinate sums."""
 
 import math
+import pickle
 
 import pytest
 
 from arithbilliards import core, kernels
 from arithbilliards.billiards import (
     PathKind,
+    PeriodicSequence,
+    Trajectory,
     boundary_hits,
     classify_path,
     coordinate_sums,
@@ -35,7 +38,7 @@ from arithbilliards.core import (
     reverse,
     step,
 )
-from support import ASC2, all_states, orbit
+from support import ASC2, all_states, orbit, peak_bytes
 
 
 class TestSimulate:
@@ -81,6 +84,50 @@ class TestSimulate:
             assert project(g, st) == pt
         for a, b in zip(traj.states, traj.states[1:]):
             assert step(g, a) == b
+
+    @pytest.mark.parametrize("n", [0, 5, 23, 60])
+    def test_points_and_states_are_sequences(self, n):
+        # below, at and beyond the period (24) of the 4x3 grid, against the
+        # core.step replay as tuples
+        g = GridSpec((4, 3))
+        mask = DirectionMask((1, 0))
+        traj = simulate(g, Point((1, 2)), mask, n)
+        states = tuple(orbit(g, lift(g, Point((1, 2)), mask), n))
+        points = tuple(project(g, s) for s in states)
+        for seq, items in ((traj.points, points), (traj.states, states)):
+            assert isinstance(seq, PeriodicSequence)
+            assert len(seq) == n + 1
+            assert [seq[k] for k in range(-n - 1, n + 1)] == list(items * 2)
+            for k in (n + 1, -n - 2, 10**20):
+                with pytest.raises(IndexError):
+                    seq[k]
+            with pytest.raises(TypeError):
+                seq[1.0]
+            for cut in (slice(2, 7), slice(None, None, -3), slice(5, 2), slice(-4, None),
+                        slice(1, None, 7), slice(None), slice(-10**20, 10**20, 2)):
+                assert seq[cut] == items[cut] and type(seq[cut]) is tuple
+            assert tuple(seq) == tuple(seq) == items  # iterates again, from the start
+            assert seq == items and items == seq and not seq != items
+            # one item short, and (from n = 1) the last item changed
+            assert seq != items[:-1] and seq != items[:-1] + items[-2:-1]
+            assert seq != list(items)
+            assert hash(seq) == hash(items)
+            assert f"length={n + 1}" in repr(seq) and repr(items[0]) in repr(seq)
+            with pytest.raises(AttributeError):
+                seq.length = 1
+        built = Trajectory(points, states)
+        assert traj == built and built == traj and hash(traj) == hash(built)
+        restored = pickle.loads(pickle.dumps(traj))
+        assert type(restored.points) is PeriodicSequence
+        assert restored == traj and tuple(restored.states) == states
+
+    def test_memory_is_one_cycle_per_coordinate(self):
+        # a million steps hold sum(min(n + 1, 2*m_i)) = 14 entries per sequence
+        g = GridSpec((4, 3))
+        traj, peak = peak_bytes(lambda: simulate(g, Point((2, 2)), ASC2, 10**6))
+        assert len(traj.points) == 10**6 + 1
+        assert traj.points[-1] == project(g, make_state(g, (2 + 10**6, 2 + 10**6)))
+        assert peak < 64 * 1024
 
 
 class TestStepLength:

@@ -34,11 +34,14 @@ from support import all_masks, all_points, elements, grids, orbit
 
 # grids whose period 2*lcm spans several blocks of the orbit walk
 MULTI_BLOCK = [(29, 30), (600, 7), (17, 19, 3)]
+# 4-D grids with hundreds of orbits, so the enumeration descends at every level
+MANY_ORBITS = [(9, 12, 6, 6), (7, 12, 14, 7)]
 
 
-@pytest.mark.parametrize("p,max_m", [(2, 6), (3, 6), (4, 3)])
+@pytest.mark.parametrize("p,max_m", [(2, 6), (3, 6), (4, 3), (5, 2)])
 def test_enumerate_paths_matches_orbit_tracing(p, max_m):
-    for dims in itertools.chain(grids(p, max_m), [d for d in MULTI_BLOCK if len(d) == p]):
+    extra = [d for d in MULTI_BLOCK + MANY_ORBITS if len(d) == p]
+    for dims in itertools.chain(grids(p, max_m), extra):
         g = GridSpec(dims)
         assert enumerate_paths(g) == enumerate_paths_exhaustive(g), dims
 

@@ -302,3 +302,10 @@ class TestDirectionMask:
     def test_rejects_non_binary_signs(self):
         with pytest.raises(ValueError):
             DirectionMask((0, 2))
+
+    @pytest.mark.parametrize("signs", [(True, 0), (0, False), (1.0, 0), (0, 0.0), ("1", 0)])
+    def test_rejects_signs_that_are_not_ints(self, signs):
+        # equal to 0 or 1 is not enough: a bool or a float is refused, as
+        # GridSpec, validate_state and make_state refuse them
+        with pytest.raises(ValueError, match="ints 0 or 1"):
+            DirectionMask(signs)

@@ -119,6 +119,32 @@ class TestMemory:
         assert svg.count(",") == vertices
         assert peak <= 32 * vertices
 
+    def test_one_axis_of_labels_at_a_time(self):
+        # each axis's labels are dropped once assigned into the text, so the
+        # peak is the final join (the polylines and the document, about 23 B
+        # per vertex), not two columns of references on top of the text
+        g = GridSpec((1000, 999))
+        paths = enumerate_paths(g)
+        svg, peak = peak_bytes(lambda: render_grid(g, paths))
+        assert svg.count(",") == 1_998_002
+        assert peak <= 25 * 1_998_002
+
+
+    def test_periodic_trajectory_drawn_from_its_cycles(self):
+        # simulate's points are drawn from one position cycle per axis: the
+        # same text as a tuple of the same points, without a Point per step
+        g = GridSpec((4, 3))
+        traj = simulate(g, Point((2, 2)), ASC2, 10**4)
+        copy = Trajectory(tuple(traj.points), tuple(traj.states))
+        assert render_grid(g, [traj]) == render_grid(g, [copy])
+        traj = simulate(g, Point((2, 2)), ASC2, 10**6)
+        svg, peak = peak_bytes(lambda: render_grid(g, [traj]))
+        assert svg.count(",") == 10**6 + 1
+        assert peak <= 40 * 10**6
+        with pytest.raises(ValueError, match="arity"):
+            render_grid(g, [simulate(GridSpec((4, 3, 2)), Point((2, 2, 2)),
+                                     core.DirectionMask((0, 0, 0)), 5)])
+
 
 class TestErrors:
     def test_rejects_non_planar_grid(self):
