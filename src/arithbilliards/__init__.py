@@ -45,6 +45,7 @@ _LAZY = {
         "geometric_length",
         "light_reachable",
         "light_reachable_any",
+        "light_reachable_any_oracle",
         "light_reachable_oracle",
         "simulate",
         "step_length",

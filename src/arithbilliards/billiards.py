@@ -212,9 +212,12 @@ def classify_path(grid: GridSpec, state: PhaseState) -> PathKind:
 
 
 def validate_path(grid: GridSpec, path: Path) -> None:
-    """Reject a :class:`Path` from another grid: its representative must be a
-    state of ``grid`` and its step length ``2*lcm(dims)``."""
+    """Reject a :class:`Path` from another grid, or of no :class:`PathKind`: its
+    representative must be a state of ``grid``, its step length ``2*lcm(dims)``
+    and its kind equal to a :class:`PathKind` value."""
     validate_state(grid, path.representative)
+    if path.kind not in (PathKind.CLOSED, PathKind.OPEN):
+        raise ValueError(f"path kind must be 'closed' or 'open', got {path.kind!r}")
     if path.step_length != step_length(grid):
         raise ValueError(f"path step length {path.step_length} does not match "
                          f"2*lcm{grid.dims!r} = {step_length(grid)}")
@@ -416,3 +419,15 @@ def light_reachable_oracle(grid: GridSpec, source: Point, mask: DirectionMask,
     if found is None:
         return ReachAnswer(False, None, None)
     return ReachAnswer(True, *found)
+
+
+def light_reachable_any_oracle(grid: GridSpec, source: Point, target: Point) -> ReachAnswer:
+    """Same contract as :func:`light_reachable_any`, decided by one
+    :func:`light_reachable_oracle` walk per mask in lexicographic order (the least
+    witness wins, then the first mask), all ``2**p`` charged before the first."""
+    validate_point(grid, source)
+    validate_point(grid, target)
+    check_budget(2 ** grid.p * step_length(grid), "period steps")
+    walks = (light_reachable_oracle(grid, source, DirectionMask(signs), target)
+             for signs in product((0, 1), repeat=grid.p))
+    return min(walks, key=lambda a: (not a.reachable, a.witness_steps or 0))

@@ -51,9 +51,9 @@ class RenderOptions(Frozen):
     """Drawing scale and the stroke colors cycled over the drawn items.
 
     ``cell_size`` and ``margin`` must be ``int`` (not ``bool``), so every
-    coordinate written is an integer.  Each palette entry is written into an
-    SVG attribute as given, so it must be non-empty and free of
-    :data:`MARKUP_CHARS`.
+    coordinate written is an integer.  The palette must not be empty.  Each
+    entry is written into an SVG attribute as given, so it must be non-empty
+    and free of :data:`MARKUP_CHARS`.
     """
 
     __slots__ = ("cell_size", "margin", "palette")
@@ -66,6 +66,8 @@ class RenderOptions(Frozen):
         object.__setattr__(self, "palette", palette)
         validate_count("cell_size", cell_size, 1)
         validate_count("margin", margin)
+        if not palette:
+            raise ValueError("palette must not be empty")
         for color in palette:
             if not color or any(ch in color for ch in MARKUP_CHARS):
                 raise ValueError(f"palette entries must be non-empty and free of "
@@ -110,7 +112,7 @@ def _path_start(grid: GridSpec, path: Path) -> list[int]:
     the vertex-to-vertex beam without retracing.
     """
     residues = path.representative.residues
-    if path.kind is PathKind.OPEN:
+    if path.kind == PathKind.OPEN:
         to_vertex = solve_congruences([(-u) % m for u, m in zip(residues, grid.dims)],
                                       grid.dims)
         if to_vertex is None:
@@ -158,8 +160,6 @@ def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str
     if grid.p != 2:
         raise ValueError(f"rendering requires a 2-D grid, got {grid.p} dimensions")
     opts = opts or RenderOptions()
-    if not opts.palette:
-        raise ValueError("palette must not be empty")
     # each item's vertex count (each Path validated on the way), charged
     # with the interior grid lines before any column or text is built
     items = list(paths)
@@ -169,7 +169,7 @@ def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str
         if isinstance(item, Path):
             # a full period if closed, half if open
             validate_path(grid, item)
-            counts.append((k if item.kind is PathKind.CLOSED else k // 2) + 1)
+            counts.append((k if item.kind == PathKind.CLOSED else k // 2) + 1)
         elif isinstance(item, Trajectory):
             counts.append(len(item.points))
         else:

@@ -228,6 +228,12 @@ class TestGenFunction:
         with pytest.raises(ValueError, match="period"):
             RationalGF(IntPolynomial(()), period)
 
+    @pytest.mark.parametrize("coeffs,period", [((1, 0, 2), 2), ((1, 0, 2), 1), ((0, 4), 1)])
+    def test_rejects_numerator_of_period_degree(self, coeffs, period):
+        # num / (1 - x**period) expands periodically only when deg num < period
+        with pytest.raises(ValueError, match="numerator degree"):
+            RationalGF(IntPolynomial(coeffs), period)
+
     def test_few_terms_of_a_long_period(self):
         # the terms asked for, not the period, bound the work
         gf = RationalGF(IntPolynomial((1, 0, 2)), 10**15)

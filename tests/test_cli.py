@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from arithbilliards import billiards, circseq, cli, core, render, walks
 from arithbilliards.core import DEFAULT_STATE_BUDGET
-from support import package_env
+from support import grids, package_env
 
 
 def run(capsys, *argv):
@@ -117,6 +118,21 @@ class TestSimulate:
         )
         assert code == 0
         assert doc["payload"]["points"] == [[0, 0], [1, 1]]
+
+    def test_closed_at_is_the_period_law(self, capsys, monkeypatch):
+        # closed_at comes from the law 2*lcm(dims), not from a walk
+        def never(*args):
+            raise AssertionError("simulate walked first_closure")
+
+        monkeypatch.setattr(billiards, "first_closure", never)
+        for m1, m2 in grids(2, 6):
+            period = 2 * math.lcm(m1, m2)
+            for start in (f"0,{m2}", f"{m1 // 2},{m2 // 3}"):
+                for steps, closed_at in ((period, period), (period - 1, None)):
+                    code, doc = run(capsys, "simulate", "--dims", f"{m1},{m2}", "--start", start,
+                                    "--steps", str(steps))
+                    assert code == 0
+                    assert doc["payload"]["closed_at"] == closed_at, (m1, m2, start, steps)
 
     def test_invalid_start(self, capsys):
         assert run(capsys, "simulate", "--dims", "6,4", "--start", "9,9",
@@ -231,6 +247,18 @@ class TestReach:
             assert doc["payload"][key] == law["payload"][key]
         assert doc["payload"]["reachable"] is True
 
+    def test_any_direction_verify_refusal_keeps_law_answer(self, capsys):
+        # the 2**2 periods are refused by the library oracle; the law's answer stays
+        argv = ["reach", "--dims", "3000000,2999999", "--from", "0,0", "--to", "1,1",
+                "--any-direction"]
+        code, law = run(capsys, *argv)
+        assert code == 0
+        code, doc = run(capsys, *argv, "--verify")
+        assert code == cli.EXIT_BUDGET == 3
+        assert doc["error"]["type"] == "BudgetExceededError"
+        assert doc["payload"] == law["payload"]
+        assert doc["payload"]["reachable"] is True
+
     @pytest.mark.parametrize("direction", [[], ["--any-direction"]],
                              ids=["one-mask", "any-direction"])
     def test_merge_budget(self, capsys, monkeypatch, direction):
@@ -291,6 +319,15 @@ class TestOrbits:
         assert code == 0
         payload = doc["payload"]
         assert sum(r["size_formula"] for r in payload["orbits"]) == payload["total_points"]
+
+    def test_bruteforce_refused(self, capsys):
+        # 16,008,001 points: the formula answers, the brute force is refused
+        code, doc = run(capsys, "orbits", "--dims", "4000,4000")
+        assert code == 0
+        rows = doc["payload"]["orbits"]
+        assert [r["size_formula"] for r in rows] == [8004001, 8004000]
+        assert all(r["size_bruteforce"] is None and r["agree"] is None for r in rows)
+        assert "error" not in doc
 
     def test_orbit_count_over_budget(self, capsys, monkeypatch):
         # 2**24 orbits on a 25-D grid: refused before any summary is built
@@ -364,6 +401,15 @@ class TestRender:
         g = core.GridSpec((6, 4))
         opts = render.RenderOptions(cell_size=3, margin=0)
         assert out.read_bytes() == render.render_grid(g, billiards.enumerate_paths(g), opts).encode()
+
+    def test_open_only(self, capsys, tmp_path):
+        out = tmp_path / "open.svg"
+        code, doc = run(capsys, "render", "--dims", "6,4", "--paths", "open", "--out", str(out))
+        assert code == 0
+        g = core.GridSpec((6, 4))
+        opens = [p for p in billiards.enumerate_paths(g) if p.kind is billiards.PathKind.OPEN]
+        assert doc["payload"]["path_count"] == len(opens) == 2
+        assert out.read_bytes() == render.render_grid(g, opens).encode()
 
     def test_closed_only_when_none_exist(self, capsys, tmp_path):
         out = tmp_path / "none.svg"

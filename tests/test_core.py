@@ -127,6 +127,19 @@ class TestNonIntegerCoordinates:
             make_state(g, (value, 2))
 
 
+class TestArity:
+    @pytest.mark.parametrize("build", [
+        lambda g: lift(g, Point((1, 1, 1)), ASC2),
+        lambda g: lift(g, Point((1,)), ASC2),
+        lambda g: make_state(g, (1, 1, 1)),
+        lambda g: make_state(g, (1,)),
+    ], ids=["long-point", "short-point", "long-residues", "short-residues"])
+    def test_wrong_arity(self, build):
+        # refused, not zipped down to the grid's arity
+        with pytest.raises(ValueError, match="arity"):
+            build(GridSpec((2, 2)))
+
+
 class TestLift:
     def test_ascending_is_identity_embedding(self):
         g = GridSpec((5, 5))

@@ -101,6 +101,15 @@ def test_one_budget_gate():
     assert readers == ["__init__", "core"]
 
 
+def test_only_the_library_charges_work():
+    # the CLI takes its answers from laws and its checks from library oracles,
+    # and each oracle charges its own work before it starts
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for node in ast.walk(tree)}
+    assert "check_budget" not in names, "cli.py charges the budget itself"
+
+
 def _modular_pow(node):
     """A three-argument ``pow``: a modular power or inverse."""
     return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow"

@@ -11,6 +11,7 @@ from arithbilliards.billiards import (
     ReachAnswer,
     light_reachable,
     light_reachable_any,
+    light_reachable_any_oracle,
     light_reachable_oracle,
     simulate,
     solve_congruences,
@@ -142,6 +143,42 @@ class TestOracleEquivalence:
         expected = ReachAnswer(True, 1, (0,) * 62)
         assert light_reachable(g, src, DirectionMask.ascending(62), dst) == expected
         assert light_reachable_any(g, src, dst) == expected
+
+
+class TestAnyDirectionOracle:
+    @pytest.mark.parametrize("dims", [*grids(2, 4), *grids(3, 2)])
+    def test_every_pair(self, dims):
+        g = GridSpec(dims)
+        points = all_points(g)
+        for src in points:
+            for dst in points:
+                assert light_reachable_any_oracle(g, src, dst) == light_reachable_any(g, src, dst), (
+                    dims, src, dst)
+
+    @pytest.mark.parametrize("dims", [(6, 4), (2, 1, 3)])
+    def test_budget(self, monkeypatch, dims):
+        # 2**p walks of the period 2*lcm, charged once before the first walk
+        g = GridSpec(dims)
+        src, dst = Point((0,) * g.p), Point(g.dims)
+        charge = 2 ** g.p * step_length(g)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", charge)
+        assert light_reachable_any_oracle(g, src, dst) == light_reachable_any(g, src, dst)
+
+        def never(*args):
+            raise AssertionError("the oracle walked past the budget check")
+
+        monkeypatch.setattr(billiards, "light_reachable_oracle", never)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", charge - 1)
+        with pytest.raises(BudgetExceededError, match="period steps"):
+            light_reachable_any_oracle(g, src, dst)
+
+    def test_validates_before_charging(self, monkeypatch):
+        # a bad point is bad input even when its walks would be refused
+        g = GridSpec((6, 4))
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 0)
+        for src, dst in [(Point((7, 0)), Point((0, 0))), (Point((0, 0)), Point((0, 5, 0)))]:
+            with pytest.raises(ValueError):
+                light_reachable_any_oracle(g, src, dst)
 
 
 class TestResidueMerge:

@@ -63,6 +63,18 @@ class TestStructure:
             gy = 4 - (y - opts.margin) / opts.cell_size
             assert gx in (0, 6) and gy in (0, 4)
 
+    def test_kind_compared_by_value(self):
+        # PathKind is a str Enum: a path whose kind is the plain value equals
+        # the library's path and is drawn the same, a full period if closed
+        g = GridSpec((6, 4))
+        paths = enumerate_paths(g)
+        twins = [Path(p.representative, p.kind.value, p.step_length, p.distinct_segments)
+                 for p in paths]
+        assert twins == paths
+        assert render_grid(g, twins) == render_grid(g, paths)
+        assert sorted(len(poly.attrib["points"].split())
+                      for poly in elements(parse(render_grid(g, twins)), "polyline")) == [13, 13, 25]
+
 
 class TestCoordinates:
     def test_lattice_mapping_and_y_flip(self):
@@ -151,9 +163,20 @@ class TestErrors:
         with pytest.raises(ValueError):
             render_grid(GridSpec((2, 2, 2)), [])
 
+    @pytest.mark.parametrize("kind", ["loop", "CLOSED", None])
+    def test_rejects_a_path_of_no_kind(self, kind):
+        g = GridSpec((6, 4))
+        path = enumerate_paths(g)[0]
+        with pytest.raises(ValueError, match="kind"):
+            render_grid(g, [Path(path.representative, kind, path.step_length, 24)])
+
     def test_rejects_empty_palette(self):
         with pytest.raises(ValueError):
             render_grid(GridSpec((2, 2)), [], RenderOptions(palette=()))
+
+    def test_empty_palette_refused_on_construction(self):
+        with pytest.raises(ValueError, match="empty"):
+            RenderOptions(palette=())
 
     @pytest.mark.parametrize("color", ["", 'red"', "red'", "<script>", "a>b", "&amp;"])
     def test_rejects_palette_markup(self, color):
