@@ -4,15 +4,14 @@ A walk moves a point by one unit-cell diagonal per step (every coordinate
 changes by +-1, staying inside the grid).  Connectivity is governed by the
 parity index of :func:`core.index_of`: points are mutually reachable exactly
 when their indexes agree, giving ``2**(p-1)`` orbits with sizes in closed
-form.  :func:`find_walk` builds its walk from that law.  The oracles do not
-assume it: :func:`find_walk_bfs` and :func:`bfs_component_ids` both run the
-one breadth-first search of the kernels (:func:`kernels.bfs_from`), and the
-test suite compares them with the law.
+form.  :func:`find_walk` reads its walk off three runs per coordinate.  The
+oracles :func:`find_walk_bfs` and :func:`bfs_component_ids` assume no law:
+both run the kernels' BFS (:func:`kernels.bfs_from`), and tests compare them.
 """
 
 from __future__ import annotations
 
-import itertools
+from itertools import chain, cycle, islice, product, repeat
 
 from arithbilliards import kernels
 from arithbilliards.core import (
@@ -77,7 +76,7 @@ def orbit_partition(grid: GridSpec) -> list[OrbitSummary]:
     the budget of them raise before any is built."""
     check_budget(2 ** (grid.p - 1), "orbits")
     out = []
-    for bits in itertools.product((0, 1), repeat=grid.p - 1):
+    for bits in product((0, 1), repeat=grid.p - 1):
         idx = OrbitIndex(bits)
         sample = Point((0,) + bits)
         out.append(OrbitSummary(index=idx, size=orbit_size(grid, idx), sample=sample))
@@ -111,13 +110,11 @@ def bfs_component_ids(grid: GridSpec) -> list[int]:
 def find_walk(grid: GridSpec, start: Point, goal: Point) -> list[DirectionMask] | None:
     """Lexicographically least shortest diagonal walk from ``start`` to ``goal``.
 
-    Returns None when the parity indexes differ.  Otherwise the walk has
-    ``k = max_i |x_i - y_i|`` steps.  At each step every coordinate moves +1
-    when that stays inside the grid and leaves the goal coordinate within
-    reach of the remaining steps, else -1; preferring +1 coordinate by
-    coordinate gives the walk :func:`find_walk_bfs` returns.  The budget
-    bounds the walk length ``k``.  The walk is replayed through
-    :func:`core.step_directed` before returning.
+    None when the parity indexes differ, else the walk :func:`find_walk_bfs`
+    returns, ``k = max_i |x_i - y_i|`` steps read off three runs per coordinate
+    (:func:`_runs`).  The budget bounds ``k``.  The runs must be >= 0, sum to
+    ``k``, end at ``y``, rise to ``h <= m`` and bounce only at ``h = m``, or
+    ArithmeticError is raised before any mask (at most ``96 + 8p`` B) is built.
     """
     validate_point(grid, start)
     validate_point(grid, goal)
@@ -125,17 +122,20 @@ def find_walk(grid: GridSpec, start: Point, goal: Point) -> list[DirectionMask] 
         return None
     k = max(abs(x - y) for x, y in zip(start.coords, goal.coords))
     check_budget(k, "walk steps")
-    at = start.coords
-    walk: list[DirectionMask] = []
-    for left in range(k - 1, -1, -1):
-        signs = tuple(
-            0 if x < m and abs(x + 1 - y) <= left else 1
-            for x, y, m in zip(at, goal.coords, grid.dims)
-        )
-        at = tuple(x + (1 if s == 0 else -1) for x, s in zip(at, signs))
-        walk.append(DirectionMask(signs))
-    _replay(grid, start, goal, walk)
-    return walk
+    columns = []
+    for x, y, m in zip(start.coords, goal.coords, grid.dims):
+        up, bounce, down = runs = _runs(x, y, m, k)
+        h = x + up
+        if min(runs) < 0 or sum(runs) != k or h - down != y or h > m or bounce and h != m:
+            raise ArithmeticError(f"runs {runs} do not walk {x} to {y} in {k} steps on side {m}")
+        columns.append(chain(repeat(0, up), islice(cycle((1, 0)), bounce), repeat(1, down)))
+    return [DirectionMask(signs) for signs in zip(*columns)]
+
+
+def _runs(x: int, y: int, m: int, k: int) -> tuple[int, int, int]:
+    """Rise to ``h = min(m, (x + y + k) / 2)``, bounce at ``m`` (signs 1, 0, ...), descend."""
+    h = min(m, (x + y + k) // 2)
+    return h - x, k - (h - x) - (h - y), h - y
 
 
 def find_walk_bfs(grid: GridSpec, start: Point, goal: Point) -> list[DirectionMask] | None:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from arithbilliards import core
 from arithbilliards.billiards import simulate
 from arithbilliards.circseq import (
     IntPolynomial,
@@ -248,6 +249,15 @@ class TestGenFunction:
         spec = SeqSpec("+", 0, DEFAULT_STATE_BUDGET // 2 + 1)
         _, peak = peak_bytes(lambda: build(spec), raises=BudgetExceededError)
         assert peak < 64 * 1024
+
+    def test_period_charged_at_the_budget_edge(self, monkeypatch):
+        # a height-5 wave has a period of 10 terms: a budget of 10 answers, 9 refuses
+        spec = SeqSpec("-", 2, 5)
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 10)
+        assert numerator_poly(spec) == IntPolynomial(tuple(seq_values(spec, 10)))
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 9)
+        with pytest.raises(BudgetExceededError, match="period terms: 10 needed"):
+            numerator_poly(spec)
 
     def test_expansion_budget_fires_before_allocating(self):
         gf = gen_function(SeqSpec("-", 1, 3))

@@ -1,6 +1,6 @@
 """Closed forms against the exhaustive oracles they replace, at fixed bounds.
 
-``enumerate_paths`` (canonical coset states), ``find_walk`` (greedy walk),
+``enumerate_paths`` (canonical coset states), ``find_walk`` (three runs per coordinate),
 ``simulate`` and the renderer (tent-map columns) and ``boundary_hits``
 (wall-residue sieve) must return exactly what orbit tracing, BFS and
 ``core.step`` iteration return.
@@ -47,7 +47,8 @@ def test_enumerate_paths_matches_orbit_tracing(p, max_m):
 
 
 @pytest.mark.parametrize(
-    "dims", [(3, 2), (4, 4), (5, 3), (2, 2, 2), (3, 2, 2), (1, 3, 2), (2, 2, 1, 2)]
+    "dims", [(3, 2), (4, 4), (5, 3), (2, 2, 2), (3, 2, 2), (1, 3, 2), (2, 2, 1, 2),
+             (6, 4), (7, 1), (1, 6), (4, 3, 2)]
 )
 def test_find_walk_matches_bfs_on_every_pair(dims):
     g = GridSpec(dims)

@@ -1,6 +1,7 @@
 """Diagonal-walk orbits: index classification, sizes, and constructive walks."""
 
 import itertools
+import random
 import subprocess
 import sys
 import textwrap
@@ -124,6 +125,15 @@ class TestOrbitPartition:
         _, peak = peak_bytes(lambda: orbit_partition(g), raises=BudgetExceededError)
         assert peak < 64 * 1024
 
+    def test_orbit_count_charged_at_the_budget_edge(self, monkeypatch):
+        # (2, 3, 4) has 2**2 = 4 orbits: a budget of 4 answers, 3 refuses
+        g = GridSpec((2, 3, 4))
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 4)
+        assert [s.size for s in orbit_partition(g)] == [16, 14, 16, 14]
+        monkeypatch.setattr(core, "DEFAULT_STATE_BUDGET", 3)
+        with pytest.raises(BudgetExceededError, match="orbits: 4 needed"):
+            orbit_partition(g)
+
 
 class TestBfsPartition:
     @pytest.mark.parametrize("dims", [(6, 4), (1, 1, 1), (3, 2, 4), (2, 2, 2, 2)])
@@ -220,8 +230,9 @@ class TestFindWalk:
             find_walk(g, Point((0, 0)), Point((30, 2)))
 
     def test_replay_check_survives_optimize_flag(self):
-        # the replay must reject a wrong move even under python -O, which
-        # strips assert statements
+        # the BFS oracle's replay must reject a wrong move, and find_walk's
+        # certificate a wrong run, even under python -O, which strips assert
+        # statements
         script = textwrap.dedent("""
             import sys
             from arithbilliards import core, walks
@@ -231,7 +242,12 @@ class TestFindWalk:
                 flipped = DirectionMask(tuple(1 - s for s in mask.signs))
                 return core.step_directed(grid, state, flipped)
 
+            def wrong_runs(x, y, m, k):
+                up, bounce, down = runs(x, y, m, k)
+                return up - 1, bounce + 2, down - 1
+
             walks.step_directed = wrong_move
+            runs, walks._runs = walks._runs, wrong_runs
             print("optimize", sys.flags.optimize)
             for find in (walks.find_walk, walks.find_walk_bfs):
                 try:
@@ -246,6 +262,83 @@ class TestFindWalk:
         assert out.stdout.split("\n")[:3] == [
             "optimize 1", "find_walk raised", "find_walk_bfs raised",
         ]
+
+    @pytest.mark.parametrize("m,runs", [
+        (5, (3, -2, 3)),  # a negative run
+        (5, (1, 2, 1)),   # bounces below the wall
+        (5, (0, 4, 0)),   # bounces below the wall, never rising
+        (5, (3, 2, 3)),   # too long
+        (5, (3, 0, 1)),   # misses the goal
+        (3, (2, 0, 2)),   # rises past the wall
+        (4, (2, 1, 1)),   # an odd bounce that misses the goal
+    ])
+    def test_certificate_rejects_a_wrong_run(self, monkeypatch, m, runs):
+        # (0, 2) -> (4, 2) on (6, m) takes 4 steps.  A planted run replaces
+        # the second coordinate's, (2, 0, 2) for m >= 4 and (1, 2, 1) for
+        # m = 3; each of the first six breaks one clause of the certificate
+        real = walks._runs
+        monkeypatch.setattr(walks, "_runs",
+                            lambda x, y, side, k: runs if x == y else real(x, y, side, k))
+        with pytest.raises(ArithmeticError, match=f"do not walk 2 to 2 in 4 steps on side {m}"):
+            find_walk(GridSpec((6, m)), Point((0, 2)), Point((4, 2)))
+
+    def test_walk_takes_no_phase_step(self, monkeypatch):
+        # the walk is read off its runs, not stepped: with the phase dynamics
+        # patched to raise, it is still the BFS oracle's walk
+        g, corner = GridSpec((6, 4)), GridSpec((117, 57))
+        pairs = [(g, a, b) for a in all_points(g) for b in all_points(g)]
+        pairs.append((corner, Point((0, 0)), Point((117, 57))))
+        expected = [find_walk_bfs(*pair) for pair in pairs]
+
+        def never(*args):
+            raise AssertionError("find_walk ran the phase dynamics")
+
+        for name in ("step_directed", "project", "lift"):
+            monkeypatch.setattr(walks, name, never)
+        assert [find_walk(*pair) for pair in pairs] == expected
+        assert len(expected[-1]) == 117
+
+    def test_reversal_and_permutation_past_the_oracle(self):
+        # seeded same-orbit pairs on grids mostly past the BFS budget: the walk
+        # back is the walk reversed with every sign flipped, and permuting
+        # the coordinates permutes every mask's signs; a few walks are
+        # replayed through the phase dynamics to the goal
+        rng = random.Random(32)
+        for trial in range(60):
+            p = rng.randint(2, 5)
+            dims = tuple(rng.randint(1, 3000) for _ in range(p))
+            start = [rng.randint(0, m) for m in dims]
+            goal = [rng.randint(0, m) for m in dims]
+            for i in range(1, p):  # match goal_i - start_i's parity to goal_0 - start_0's
+                if (goal[i] - start[i] - goal[0] + start[0]) % 2:
+                    goal[i] += 1 if goal[i] < dims[i] else -1
+            g, start, goal = GridSpec(dims), Point(tuple(start)), Point(tuple(goal))
+            walk = find_walk(g, start, goal)
+            flipped = [DirectionMask(tuple(1 - s for s in mask.signs)) for mask in reversed(walk)]
+            assert find_walk(g, goal, start) == flipped
+            order = rng.sample(range(p), p)
+            permuted = find_walk(GridSpec(tuple(dims[i] for i in order)),
+                                 Point(tuple(start.coords[i] for i in order)),
+                                 Point(tuple(goal.coords[i] for i in order)))
+            assert permuted == [DirectionMask(tuple(mask.signs[i] for i in order))
+                                for mask in walk]
+            if trial % 15 == 0:
+                state = lift(g, start, DirectionMask.ascending(p))
+                for mask in walk:
+                    state = step_directed(g, state, mask)
+                assert project(g, state) == goal
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_walk_memory_per_step(self, p):
+        # 2 * 10**4 steps; every coordinate but the first rises 4000 steps,
+        # bounces 14000 and descends 2000.  One mask per step, at most
+        # 96 + 8p bytes each: no column of k signs is held beside them
+        k = 2 * 10**4
+        g = GridSpec((k,) + (5000,) * (p - 1))
+        start, goal = Point((0,) + (1000,) * (p - 1)), Point((k,) + (3000,) * (p - 1))
+        walk, peak = peak_bytes(lambda: find_walk(g, start, goal))
+        assert len(walk) == k
+        assert peak <= (96 + 8 * p) * k
 
 
 class TestIndexPreservation:
