@@ -205,8 +205,9 @@ def classify_path(grid: GridSpec, state: PhaseState) -> PathKind:
     also exactly when the orbit passes through a grid vertex.
     """
     validate_state(grid, state)
-    residues = [(-2 * u) % tm for u, tm in zip(state.residues, grid.two_m)]
-    if solve_congruences(residues, grid.two_m) is not None:
+    two_m = grid.two_m
+    residues = [(-2 * u) % tm for u, tm in zip(state.residues, two_m)]
+    if solve_congruences(residues, two_m) is not None:
         return PathKind.OPEN
     return PathKind.CLOSED
 

@@ -216,10 +216,11 @@ def validate_point(grid: GridSpec, point: Point) -> None:
 def validate_state(grid: GridSpec, state: PhaseState) -> None:
     if len(state.residues) != grid.p:
         raise ValueError(f"state arity {len(state.residues)} does not match grid arity {grid.p}")
-    for u, tm in zip(state.residues, grid.two_m):
+    # each circle's bound 2*m read off dims: no grid field is built per call
+    for u, m in zip(state.residues, grid.dims):
         if type(u) is not int:
             raise ValueError(f"state residues must be integers, got {state.residues!r}")
-        if not 0 <= u < tm:
+        if not 0 <= u < 2 * m:
             raise ValueError(f"state {state.residues!r} outside phase circles of {grid.dims!r}")
 
 

@@ -103,13 +103,14 @@ def _trajectory_columns(grid: GridSpec, trajectory: Trajectory) -> list[tuple[in
     return columns
 
 
-def _path_start(grid: GridSpec, path: Path) -> list[int]:
+def _path_start(grid: GridSpec, two_m, path: Path) -> list[int]:
     """Phase of each coordinate at the first vertex drawn for a Path.
 
     Closed paths draw one full period (a loop) from the representative.  Open
     paths start from the first grid vertex on the orbit, the least ``k`` with
     ``u_i + k = 0 (mod m_i)`` for every ``i``, and draw half a period, giving
-    the vertex-to-vertex beam without retracing.
+    the vertex-to-vertex beam without retracing.  ``two_m`` is ``grid.two_m``,
+    built once by the caller for all its paths.
     """
     residues = path.representative.residues
     if path.kind == PathKind.OPEN:
@@ -118,7 +119,7 @@ def _path_start(grid: GridSpec, path: Path) -> list[int]:
         if to_vertex is None:
             raise ArithmeticError("open path orbit never reaches a grid vertex")
         residues = [u + to_vertex for u in residues]
-    return [u % tm for u, tm in zip(residues, grid.two_m)]
+    return [u % tm for u, tm in zip(residues, two_m)]
 
 
 def _axis_labels(m: int, screen, end: str) -> list[str]:
@@ -204,10 +205,11 @@ def render_grid(grid: GridSpec, paths, opts: RenderOptions | None = None) -> str
     parts += map(f'<line x1="{sx(0)}" y1="{{0}}" x2="{sx(m1)}" y2="{{0}}" {stroke}'.format,
                  range(sy(1), sy(m2), -cell))
     tables = (_axis_labels(m1, sx, ","), _axis_labels(m2, sy, " ")) if drawn else ()
+    two_m = grid.two_m
     for i, (item, n) in enumerate(drawn):
         if isinstance(item, Path):
             columns = ((table * -(-(u + n) // len(table)))[u:u + n]
-                       for table, u in zip(tables, _path_start(grid, item)))
+                       for table, u in zip(tables, _path_start(grid, two_m, item)))
         else:
             columns = (_repeat(list(map(table.__getitem__, column)), n)
                        for table, column in zip(tables, item))

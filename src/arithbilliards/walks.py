@@ -114,7 +114,8 @@ def find_walk(grid: GridSpec, start: Point, goal: Point) -> list[DirectionMask] 
     returns, ``k = max_i |x_i - y_i|`` steps read off three runs per coordinate
     (:func:`_runs`).  The budget bounds ``k``.  The runs must be >= 0, sum to
     ``k``, end at ``y``, rise to ``h <= m`` and bounce only at ``h = m``, or
-    ArithmeticError is raised before any mask (at most ``96 + 8p`` B) is built.
+    ArithmeticError is raised before any mask is built.  Steps with the same
+    signs share one mask, so the walk holds about 8 B per step.
     """
     validate_point(grid, start)
     validate_point(grid, goal)
@@ -129,7 +130,9 @@ def find_walk(grid: GridSpec, start: Point, goal: Point) -> list[DirectionMask] 
         if min(runs) < 0 or sum(runs) != k or h - down != y or h > m or bounce and h != m:
             raise ArithmeticError(f"runs {runs} do not walk {x} to {y} in {k} steps on side {m}")
         columns.append(chain(repeat(0, up), islice(cycle((1, 0)), bounce), repeat(1, down)))
-    return [DirectionMask(signs) for signs in zip(*columns)]
+    masks = {}
+    return [masks.get(signs) or masks.setdefault(signs, DirectionMask(signs))
+            for signs in zip(*columns)]
 
 
 def _runs(x: int, y: int, m: int, k: int) -> tuple[int, int, int]:

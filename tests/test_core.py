@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arithbilliards.billiards import classify_path, enumerate_paths, first_closure
 from arithbilliards.core import (
     DirectionMask,
     GridSpec,
@@ -23,7 +24,9 @@ from arithbilliards.core import (
     step,
     step_back,
     step_directed,
+    validate_state,
 )
+from arithbilliards.render import render_grid
 from support import ASC2, all_masks, all_points, all_states, orbit
 
 DESC2 = DirectionMask.descending(2)
@@ -101,6 +104,17 @@ class TestProject:
     def test_out_of_range_residue(self):
         with pytest.raises(ValueError):
             project(GridSpec((2, 2)), PhaseState((4, 0)))
+
+    # on an unequal grid each residue is checked against its own side's circle
+    @pytest.mark.parametrize("fn", [project, step, classify_path])
+    def test_largest_residues_of_each_side_accepted(self, fn):
+        fn(GridSpec((6, 4)), PhaseState((11, 7)))
+
+    @pytest.mark.parametrize("residues", [(12, 0), (0, 8), (-1, 0)])
+    @pytest.mark.parametrize("fn", [project, step, classify_path])
+    def test_out_of_range_residue_per_side(self, fn, residues):
+        with pytest.raises(ValueError, match="outside phase circles"):
+            fn(GridSpec((6, 4)), PhaseState(residues))
 
 
 class TestNonIntegerCoordinates:
@@ -208,6 +222,43 @@ class TestStepMaps:
         before = project(grid, state).coords
         after = project(grid, step(grid, state)).coords
         assert all(abs(a - b) == 1 for a, b in zip(after, before))
+
+
+def two_m_builds(monkeypatch, fn) -> int:
+    """How many times ``fn()`` reads ``GridSpec.two_m``, a property that
+    builds its tuple on every read."""
+    reads = []
+    build = GridSpec.two_m.fget
+    monkeypatch.setattr(GridSpec, "two_m", property(lambda grid: reads.append(grid) or build(grid)))
+    fn()
+    monkeypatch.undo()
+    return len(reads)
+
+
+class TestGridFieldsPerCall:
+    """Each call builds ``two_m`` at most once; the validators build none."""
+
+    G, S = GridSpec((6, 4)), PhaseState((3, 5))
+
+    @pytest.mark.parametrize("fn, builds", [
+        (validate_state, 0),
+        (project, 0),
+        (classify_path, 1),
+        (step, 1),
+        (step_back, 1),
+        (reverse, 1),
+        (lambda g, s: step_directed(g, s, DESC2), 1),
+        (lambda g, s: first_closure(g, s, 100), 1),
+    ], ids=["validate_state", "project", "classify_path", "step", "step_back",
+            "reverse", "step_directed", "first_closure"])
+    def test_state_calls(self, monkeypatch, fn, builds):
+        assert two_m_builds(monkeypatch, lambda: fn(self.G, self.S)) == builds
+
+    def test_render_grid_builds_once_for_all_paths(self, monkeypatch):
+        g = GridSpec((110, 66))
+        paths = enumerate_paths(g)
+        assert len(paths) == 23
+        assert two_m_builds(monkeypatch, lambda: render_grid(g, paths)) == 1
 
 
 class TestReverse:

@@ -331,14 +331,15 @@ class TestFindWalk:
     @pytest.mark.parametrize("p", [2, 4])
     def test_walk_memory_per_step(self, p):
         # 2 * 10**4 steps; every coordinate but the first rises 4000 steps,
-        # bounces 14000 and descends 2000.  One mask per step, at most
-        # 96 + 8p bytes each: no column of k signs is held beside them
+        # bounces 14000 and descends 2000.  One list slot per step, at most
+        # 16 bytes each: steps with the same signs share one mask, and no
+        # column of k signs is held beside them
         k = 2 * 10**4
         g = GridSpec((k,) + (5000,) * (p - 1))
         start, goal = Point((0,) + (1000,) * (p - 1)), Point((k,) + (3000,) * (p - 1))
         walk, peak = peak_bytes(lambda: find_walk(g, start, goal))
         assert len(walk) == k
-        assert peak <= (96 + 8 * p) * k
+        assert peak <= 16 * k
 
 
 class TestIndexPreservation:
